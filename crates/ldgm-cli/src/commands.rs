@@ -317,8 +317,9 @@ fn tuned_matcher(
 /// One-line summary of a tuning verdict for command output.
 fn tune_note(report: &TuneReport) -> String {
     format!(
-        "auto-tune: probed {} candidates, locked [{}]; simulated {:.3} ms vs default {:.3} ms\n",
+        "auto-tune: probed {} candidates in {:.1} s, locked [{}]; simulated {:.3} ms vs default {:.3} ms\n",
         report.candidates,
+        report.wall_s,
         report.knobs(),
         report.sim_time * 1e3,
         report.base_sim_time * 1e3,
@@ -1092,6 +1093,23 @@ mod tests {
                 .unwrap();
         assert!(r.contains("augmented:"));
         assert!(r.contains("maximal = true"));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn auto_tune_note_reports_its_cost() {
+        let path = tmp("ldgm_cli_tune.mtx");
+        run(&args(&format!("gen --vertices 300 --avg-degree 6 --seed 5 --out {path}"))).unwrap();
+        let r = run(&args(&format!(
+            "match --input {path} --algorithm ld-gpu-opt --devices 2 --auto-tune --verify"
+        )))
+        .unwrap();
+        let note = r.lines().find(|l| l.starts_with("auto-tune: probed ")).expect("tune note");
+        let (_, rest) = note.split_once(" candidates in ").expect("wall time in the note");
+        let (secs, rest) = rest.split_once(" s, locked [").expect("locked knobs");
+        assert!(secs.parse::<f64>().is_ok_and(|s| s >= 0.0), "{note}");
+        assert!(rest.contains("]; simulated "), "{note}");
+        assert!(r.contains("maximal = true"), "{r}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -32,8 +32,10 @@ pub struct LdGpuConfig {
     /// collectives, syncs) for Gantt inspection. Off by default.
     pub collect_trace: bool,
     /// Optimized mode: scan neighbors through a preference-sorted
-    /// adjacency index ([`ldgm_graph::SortedAdjacency`], built once per
-    /// run) so SETPOINTERS early-exits at the first available neighbor.
+    /// adjacency index ([`ldgm_graph::SortedAdjacency`]) so SETPOINTERS
+    /// early-exits at the first available neighbor. [`super::LdGpu::try_run`]
+    /// builds the index once per call; the auto-tuner builds it once per
+    /// search and shares it across every run it makes.
     /// Off by default (the plain-`ld-gpu` paper-faithful full scan).
     pub sorted_index: bool,
     /// Optimized mode: after the first iteration, launch SETPOINTERS only

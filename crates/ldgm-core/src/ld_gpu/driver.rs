@@ -22,9 +22,10 @@
 //! * **sorted index** — neighbors are scanned through a
 //!   [`SortedAdjacency`] (weight desc, id asc: the canonical [`prefer`]
 //!   order, so the first available neighbor is the full scan's argmax) and
-//!   the warp stops at the wave containing the hit. The one-time build is
-//!   preprocessing, excluded from timings like the initial partition
-//!   transfer (paper convention).
+//!   the warp stops at the wave containing the hit. The build is
+//!   per-graph preprocessing, excluded from timings like the initial
+//!   partition transfer (paper convention): [`LdGpu::try_run`] builds it
+//!   once per call, and the auto-tuner once for all of its runs.
 //! * **cross-iteration frontier** — after SETMATES, the only vertices
 //!   whose pointers went stale are those whose target was just matched
 //!   away; everyone else's pointer still names their best available
@@ -288,6 +289,38 @@ impl LdGpu {
 
     /// Run on `g`.
     pub fn try_run(&self, g: &CsrGraph) -> Result<LdGpuOutput, LdGpuError> {
+        let index =
+            (self.cfg.sorted_index || self.cfg.streaming).then(|| SortedAdjacency::build(g));
+        self.run_indexed(g, index.as_ref())
+    }
+
+    /// Run on `g` with a prebuilt preference-sorted index of `g`. The
+    /// index depends only on the graph, so callers that run many configs
+    /// on one graph (the auto-tuner) build it once and lend it to every
+    /// run. It is read only when the config scans through it
+    /// (`sorted_index` or `streaming`, which then require it) and ignored
+    /// otherwise.
+    ///
+    /// # Panics
+    /// If `index` was built from a graph with another vertex or edge
+    /// count, or if the config needs the index and none is given.
+    pub(crate) fn run_indexed(
+        &self,
+        g: &CsrGraph,
+        index: Option<&SortedAdjacency>,
+    ) -> Result<LdGpuOutput, LdGpuError> {
+        if let Some(idx) = index {
+            assert_eq!(
+                idx.num_vertices(),
+                g.num_vertices(),
+                "sorted index built from another graph"
+            );
+            assert_eq!(
+                idx.num_directed_edges(),
+                g.num_directed_edges(),
+                "sorted index built from another graph"
+            );
+        }
         let cfg = &self.cfg;
         let n = g.num_vertices();
         let ndev = cfg.devices.clamp(1, cfg.platform.max_devices);
@@ -375,14 +408,14 @@ impl LdGpu {
         };
 
         // Optimized-mode state. The sorted index is preprocessing (built
-        // once per run, excluded from timings like the initial partition
-        // transfer); the scratch arena's `frontiers` hold per-device
-        // worklists once the first full iteration has run. Streaming
-        // requires the sorted order — bands are rank bands over it.
+        // by the caller once per graph, excluded from timings like the
+        // initial partition transfer); the scratch arena's `frontiers`
+        // hold per-device worklists once the first full iteration has
+        // run. Streaming requires the sorted order — bands are rank bands
+        // over it.
         let optimized = cfg.is_optimized();
-        let sorted =
-            if cfg.sorted_index || cfg.streaming { Some(SortedAdjacency::build(g)) } else { None };
-        let sorted_ref = sorted.as_ref();
+        let sorted_ref = (cfg.sorted_index || cfg.streaming)
+            .then(|| index.expect("sorted-index and streaming runs need the sorted index"));
         let mut have_frontiers = false;
 
         // Every reusable per-iteration buffer — the SoA availability
@@ -491,7 +524,7 @@ impl LdGpu {
                         if task.stream.is_some() {
                             stream_pointing(
                                 g,
-                                sorted_ref.expect("streaming builds the sorted index"),
+                                sorted_ref.expect("streaming runs hold the sorted index"),
                                 &mut task,
                                 &mut rep,
                                 avail_ref,
@@ -1027,6 +1060,76 @@ mod trace_tests {
         let g = urand(100, 400, 2);
         let out = LdGpu::new(LdGpuConfig::new(Platform::dgx_a100())).run(&g);
         assert!(out.trace.is_none());
+    }
+}
+
+#[cfg(test)]
+mod indexed_tests {
+    use super::*;
+    use ldgm_gpusim::export::chrome_trace_json;
+    use ldgm_gpusim::Platform;
+    use ldgm_graph::gen::{rmat, RmatParams};
+    use ldgm_graph::GraphBuilder;
+
+    /// R-MAT structure with only three weight values, so most preference
+    /// decisions fall to the id tie-break.
+    fn tied_graph() -> CsrGraph {
+        let base = rmat(1024, 8000, RmatParams::GAP_KRON, 23);
+        let mut b = GraphBuilder::new(base.num_vertices());
+        for (u, v, _) in base.iter_edges() {
+            b.push_edge(u, v, 1.0 + ((u ^ v) % 3) as f64);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn prebuilt_index_reproduces_try_run_exactly() {
+        let g = tied_graph();
+        // One index for every config, as the tuner lends it: configs that
+        // do not scan through it must ignore it.
+        let index = SortedAdjacency::build(&g);
+        for streamed in [false, true] {
+            for mask in 0..8u32 {
+                for ndev in [1, 2, 4, 8] {
+                    let cfg = LdGpuConfig::new(Platform::dgx_a100())
+                        .devices(ndev)
+                        .with_sorted_index(mask & 1 != 0)
+                        .with_frontier(mask & 2 != 0)
+                        .with_sparse_collectives(mask & 4 != 0)
+                        .with_streaming(streamed)
+                        .with_trace();
+                    let what = format!("mask {mask}, {ndev} devices, streamed {streamed}");
+                    let m = LdGpu::new(cfg);
+                    let want = m.try_run(&g).unwrap();
+                    let got = m.run_indexed(&g, Some(&index)).unwrap();
+                    assert_eq!(got.matching.mate_array(), want.matching.mate_array(), "{what}");
+                    assert_eq!(got.sim_time.to_bits(), want.sim_time.to_bits(), "{what}");
+                    assert_eq!(got.profile.phases, want.profile.phases, "{what}");
+                    assert_eq!(
+                        got.metrics.to_json().to_string_compact(),
+                        want.metrics.to_json().to_string_compact(),
+                        "{what}"
+                    );
+                    let json = |o: &LdGpuOutput| {
+                        chrome_trace_json(o.trace.as_ref().expect("trace requested"))
+                            .to_string_compact()
+                    };
+                    assert_eq!(json(&got), json(&want), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted index built from another graph")]
+    fn index_of_another_graph_is_refused() {
+        let g = tied_graph();
+        // Same vertex count, other edges: only the edge-count check
+        // tells the two apart.
+        let other = rmat(1024, 4000, RmatParams::GAP_KRON, 24);
+        let index = SortedAdjacency::build(&other);
+        let cfg = LdGpuConfig::new(Platform::dgx_a100()).optimized();
+        let _ = LdGpu::new(cfg).run_indexed(&g, Some(&index));
     }
 }
 

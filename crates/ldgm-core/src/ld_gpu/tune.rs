@@ -22,8 +22,17 @@
 //! The search is fully deterministic: a fixed candidate order, exact
 //! simulated times, and first-wins tie-breaking mean re-tuning the same
 //! graph on the same platform always locks the same config.
+//!
+//! Every candidate runs on the same graph, so the preference-sorted
+//! index the sorted-scan and streaming candidates read is built once per
+//! search and lent to every probe and full run, then dropped before the
+//! search returns. [`TuneReport::wall_s`] records the host time the
+//! search took.
+
+use std::time::Instant;
 
 use ldgm_graph::csr::CsrGraph;
+use ldgm_graph::SortedAdjacency;
 
 use super::{LdGpu, LdGpuConfig, LdGpuError};
 
@@ -82,6 +91,9 @@ pub struct TuneReport {
     pub candidates: usize,
     /// The probe shortlist that went to full runs, best first.
     pub shortlist: Vec<ProbeRecord>,
+    /// Host wall-clock seconds the search took, index build included.
+    /// A measurement, not a result: it varies run to run.
+    pub wall_s: f64,
 }
 
 impl TuneReport {
@@ -184,13 +196,18 @@ pub fn auto_tune_with(
     base: &LdGpuConfig,
     opts: &TuneOptions,
 ) -> Result<TuneReport, LdGpuError> {
+    let start = Instant::now();
+    // The grid always holds sorted-index candidates; one index serves
+    // every run below (runs that do not scan through it ignore it).
+    let index = SortedAdjacency::build(g);
+    let run = |cfg: LdGpuConfig| LdGpu::new(cfg).run_indexed(g, Some(&index));
     let probe_k = opts.probe_iterations.max(1);
     let mut probed: Vec<(f64, usize, LdGpuConfig)> = Vec::new();
     let mut candidates_run = 0usize;
     for (i, cand) in candidates(base, opts).into_iter().enumerate() {
         let mut probe_cfg = quiet(cand.clone());
         probe_cfg.probe_iterations = Some(probe_k);
-        let Ok(out) = LdGpu::new(probe_cfg).try_run(g) else {
+        let Ok(out) = run(probe_cfg) else {
             continue; // infeasible batch plan on this platform
         };
         candidates_run += 1;
@@ -203,13 +220,13 @@ pub fn auto_tune_with(
 
     // Full runs: the base config first (its time is the floor the locked
     // config must beat or match), then the shortlist in probe order.
-    let base_time = LdGpu::new(quiet(base.clone())).try_run(g)?.sim_time;
+    let base_time = run(quiet(base.clone()))?.sim_time;
     let mut best_cfg = base.clone();
     let mut best_time = base_time;
     let mut shortlist = Vec::new();
     for (probe_time, _, cand) in probed {
         shortlist.push(ProbeRecord { knobs: describe_knobs(&cand), probe_time });
-        let Ok(out) = LdGpu::new(quiet(cand.clone())).try_run(g) else {
+        let Ok(out) = run(quiet(cand.clone())) else {
             continue;
         };
         // Strict improvement only: ties keep the earlier (or base)
@@ -229,6 +246,7 @@ pub fn auto_tune_with(
         base_sim_time: base_time,
         candidates: candidates_run,
         shortlist,
+        wall_s: start.elapsed().as_secs_f64(),
     })
 }
 
