@@ -51,14 +51,14 @@ pub fn sweep_ld_gpu(
             continue;
         }
         for &nb in batch_counts {
-            let Ok(cfg) = LdGpuConfig::builder(platform.clone())
-                .devices(nd)
-                .batches(nb)
-                .collect_iterations(false)
-                .build()
-            else {
-                continue; // degenerate sweep point (0 devices/batches)
+            let cfg = LdGpuConfig {
+                devices: nd,
+                batches: Some(nb),
+                ..LdGpuConfig::new(platform.clone()).without_iteration_profile()
             };
+            if cfg.validate().is_err() {
+                continue; // degenerate sweep point (0 devices/batches)
+            }
             let Ok(out) = LdGpu::new(cfg).try_run(g) else {
                 continue;
             };
@@ -67,11 +67,13 @@ pub fn sweep_ld_gpu(
             }
         }
         // Also try the automatic (minimal) batch plan.
-        let Ok(cfg) =
-            LdGpuConfig::builder(platform.clone()).devices(nd).collect_iterations(false).build()
-        else {
-            continue;
+        let cfg = LdGpuConfig {
+            devices: nd,
+            ..LdGpuConfig::new(platform.clone()).without_iteration_profile()
         };
+        if cfg.validate().is_err() {
+            continue;
+        }
         if let Ok(out) = LdGpu::new(cfg).try_run(g) {
             if best.as_ref().is_none_or(|b| out.sim_time < b.output.sim_time) {
                 let batches = out.batches;

@@ -87,15 +87,6 @@ pub struct LdGpuConfig {
 }
 
 impl LdGpuConfig {
-    /// Start a named-method builder on `platform`. Unlike the raw struct
-    /// (or the positional `with_*` chain), the builder validates the
-    /// final combination: [`LdGpuConfigBuilder::build`] rejects nonsense
-    /// like zero batches or the frontier without retirement instead of
-    /// silently clamping.
-    pub fn builder(platform: Platform) -> LdGpuConfigBuilder {
-        LdGpuConfigBuilder { cfg: LdGpuConfig::new(platform) }
-    }
-
     /// Default configuration on `platform`: 1 device, auto batches.
     pub fn new(platform: Platform) -> Self {
         LdGpuConfig {
@@ -214,181 +205,53 @@ impl LdGpuConfig {
         self.collect_trace = true;
         self
     }
-}
 
-/// Named-method builder for [`LdGpuConfig`].
-///
-/// The config grew four orthogonal bool toggles (sorted/frontier/sparse/
-/// overlap) that used to be set positionally through `with_*(bool)`
-/// chains; the builder names each one, and [`build`](Self::build) runs
-/// [`validate`](Self::validate) so impossible combinations surface as a
-/// [`MatchError::InvalidConfig`] instead of a silent clamp or a deep
-/// driver panic. The raw struct literal and the legacy `with_*` chain
-/// keep working unchanged.
-#[derive(Clone, Debug)]
-pub struct LdGpuConfigBuilder {
-    cfg: LdGpuConfig,
-}
-
-impl LdGpuConfigBuilder {
-    /// Set the device count (validated: must be ≥ 1; counts beyond the
-    /// platform fabric are clamped by the driver, as before).
-    pub fn devices(mut self, n: usize) -> Self {
-        self.cfg.devices = n;
-        self
-    }
-
-    /// Fix the batch count per device (validated: must be ≥ 1).
-    pub fn batches(mut self, b: usize) -> Self {
-        self.cfg.batches = Some(b);
-        self
-    }
-
-    /// Fix the vertices-per-warp work distribution (validated: ≥ 1).
-    pub fn vertices_per_warp(mut self, v: usize) -> Self {
-        self.cfg.vertices_per_warp = Some(v);
-        self
-    }
-
-    /// Toggle the preference-sorted adjacency index (early-exit scans).
-    pub fn sorted_index(mut self, on: bool) -> Self {
-        self.cfg.sorted_index = on;
-        self
-    }
-
-    /// Toggle the cross-iteration pointing frontier.
-    pub fn frontier(mut self, on: bool) -> Self {
-        self.cfg.frontier = on;
-        self
-    }
-
-    /// Toggle sparse delta collectives.
-    pub fn sparse_collectives(mut self, on: bool) -> Self {
-        self.cfg.sparse_collectives = on;
-        self
-    }
-
-    /// Toggle communication/computation overlap (chunked collectives on
-    /// the comm stream).
-    pub fn overlap(mut self, on: bool) -> Self {
-        self.cfg.overlap = on;
-        self
-    }
-
-    /// Toggle topology-aware part→node placement (cluster platforms
-    /// only; billing-layer, matching unchanged).
-    pub fn topology_placement(mut self, on: bool) -> Self {
-        self.cfg.topology_placement = on;
-        self
-    }
-
-    /// Enable every optimization layer (the `ld-gpu-opt` preset).
-    pub fn optimized(self) -> Self {
-        self.sorted_index(true).frontier(true).sparse_collectives(true)
-    }
-
-    /// Toggle exhausted-vertex retirement (off models framework
-    /// baselines that rescan every vertex each iteration).
-    pub fn retire_exhausted(mut self, on: bool) -> Self {
-        self.cfg.retire_exhausted = on;
-        self
-    }
-
-    /// Multiplier on kernel compute cost (validated: finite and > 0).
-    pub fn kernel_overhead(mut self, factor: f64) -> Self {
-        self.cfg.kernel_overhead = factor;
-        self
-    }
-
-    /// Toggle per-iteration profiling records.
-    pub fn collect_iterations(mut self, on: bool) -> Self {
-        self.cfg.collect_iterations = on;
-        self
-    }
-
-    /// Toggle event-trace recording (Gantt timelines).
-    pub fn trace(mut self, on: bool) -> Self {
-        self.cfg.collect_trace = on;
-        self
-    }
-
-    /// Stop after `k` matching iterations (auto-tuner probe runs;
-    /// validated: ≥ 1). The resulting matching is partial.
-    pub fn probe_iterations(mut self, k: usize) -> Self {
-        self.cfg.probe_iterations = Some(k);
-        self
-    }
-
-    /// Toggle the out-of-core streaming engine (validated: `mem_budget`
-    /// and `stream_window` require it).
-    pub fn streaming(mut self, on: bool) -> Self {
-        self.cfg.streaming = on;
-        self
-    }
-
-    /// Cap the per-device streaming byte budget (validated: ≥ 1 and
-    /// only meaningful with `streaming`).
-    pub fn mem_budget(mut self, bytes: u64) -> Self {
-        self.cfg.mem_budget = Some(bytes);
-        self
-    }
-
-    /// Fix the resident streaming window in bands (validated: ≥ 2, the
-    /// double-buffer minimum, and only meaningful with `streaming`).
-    pub fn stream_window(mut self, bands: usize) -> Self {
-        self.cfg.stream_window = Some(bands);
-        self
-    }
-
-    /// Check the assembled combination without consuming the builder.
+    /// Reject nonsense combinations — zero counts, a non-positive kernel
+    /// overhead, the frontier without retirement, streaming knobs without
+    /// streaming — as [`MatchError::InvalidConfig`] instead of a silent
+    /// clamp or a deep driver panic. The `with_*` chain clamps the counts
+    /// it sets; struct literals and CLI-parsed values are checked here.
     pub fn validate(&self) -> Result<(), MatchError> {
-        let c = &self.cfg;
         let bad = |msg: String| Err(MatchError::InvalidConfig(msg));
-        if c.devices == 0 {
+        if self.devices == 0 {
             return bad("devices must be >= 1".into());
         }
-        if c.batches == Some(0) {
+        if self.batches == Some(0) {
             return bad("batches must be >= 1 when fixed".into());
         }
-        if c.vertices_per_warp == Some(0) {
+        if self.vertices_per_warp == Some(0) {
             return bad("vertices_per_warp must be >= 1 when fixed".into());
         }
-        if c.probe_iterations == Some(0) {
+        if self.probe_iterations == Some(0) {
             return bad("probe_iterations must be >= 1 when set".into());
         }
-        if !(c.kernel_overhead.is_finite() && c.kernel_overhead > 0.0) {
+        if !(self.kernel_overhead.is_finite() && self.kernel_overhead > 0.0) {
             return bad(format!(
                 "kernel_overhead must be finite and > 0, got {}",
-                c.kernel_overhead
+                self.kernel_overhead
             ));
         }
-        if c.frontier && !c.retire_exhausted {
+        if self.frontier && !self.retire_exhausted {
             return bad(
                 "frontier requires retire_exhausted: the cross-iteration frontier is seeded \
                  from retirement bookkeeping, so a rescan-everything baseline cannot drive it"
                     .into(),
             );
         }
-        if c.mem_budget == Some(0) {
+        if self.mem_budget == Some(0) {
             return bad("mem_budget must be >= 1 byte when set".into());
         }
-        if let Some(w) = c.stream_window {
+        if let Some(w) = self.stream_window {
             if w < 2 {
                 return bad(format!("stream_window must be >= 2 (double-buffer minimum), got {w}"));
             }
         }
-        if !c.streaming && (c.mem_budget.is_some() || c.stream_window.is_some()) {
+        if !self.streaming && (self.mem_budget.is_some() || self.stream_window.is_some()) {
             return bad(
                 "mem_budget/stream_window configure the streaming engine; enable streaming".into(),
             );
         }
         Ok(())
-    }
-
-    /// Validate and produce the config.
-    pub fn build(self) -> Result<LdGpuConfig, MatchError> {
-        self.validate()?;
-        Ok(self.cfg)
     }
 }
 
@@ -456,82 +319,60 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_matches_legacy_chain() {
+    fn validate_accepts_the_chain() {
         let p = Platform::dgx_a100;
-        let built = LdGpuConfig::builder(p())
-            .devices(4)
-            .batches(3)
-            .sorted_index(true)
-            .frontier(true)
-            .sparse_collectives(true)
-            .overlap(true)
-            .trace(true)
-            .build()
-            .unwrap();
-        let legacy =
+        let cfg =
             LdGpuConfig::new(p()).devices(4).batches(3).optimized().with_overlap(true).with_trace();
-        assert_eq!(built.devices, legacy.devices);
-        assert_eq!(built.batches, legacy.batches);
-        assert_eq!(built.sorted_index, legacy.sorted_index);
-        assert_eq!(built.frontier, legacy.frontier);
-        assert_eq!(built.sparse_collectives, legacy.sparse_collectives);
-        assert_eq!(built.overlap, legacy.overlap);
-        assert_eq!(built.collect_trace, legacy.collect_trace);
-        // The `optimized()` preset exists on the builder too.
-        let opt = LdGpuConfig::builder(p()).optimized().build().unwrap();
-        assert!(opt.is_optimized() && opt.sorted_index && opt.frontier && opt.sparse_collectives);
+        cfg.validate().unwrap();
+        assert!(cfg.is_optimized() && cfg.sorted_index && cfg.frontier && cfg.sparse_collectives);
+        assert_eq!((cfg.devices, cfg.batches), (4, Some(3)));
+        // The chain clamps the counts it sets, so it cannot build the
+        // zero counts validate() rejects.
+        let clamped = LdGpuConfig::new(p()).devices(0).batches(0).vertices_per_warp(0);
+        assert_eq!((clamped.devices, clamped.batches), (1, Some(1)));
+        assert_eq!(clamped.vertices_per_warp, Some(1));
+        clamped.validate().unwrap();
     }
 
     #[test]
-    fn builder_rejects_nonsense_combos() {
-        let p = Platform::dgx_a100;
-        let invalid = |b: LdGpuConfigBuilder| {
-            let err = b.build().unwrap_err();
+    fn validate_rejects_nonsense_combos() {
+        let base = || LdGpuConfig::new(Platform::dgx_a100());
+        let invalid = |cfg: LdGpuConfig| {
+            let err = cfg.validate().unwrap_err();
             assert!(
                 matches!(err, MatchError::InvalidConfig(_)),
                 "expected InvalidConfig, got {err:?}"
             );
             err.to_string()
         };
-        assert!(invalid(LdGpuConfig::builder(p()).devices(0)).contains("devices"));
-        assert!(invalid(LdGpuConfig::builder(p()).batches(0)).contains("batches"));
-        assert!(
-            invalid(LdGpuConfig::builder(p()).vertices_per_warp(0)).contains("vertices_per_warp")
-        );
-        assert!(invalid(LdGpuConfig::builder(p()).kernel_overhead(0.0)).contains("kernel_overhead"));
-        assert!(invalid(LdGpuConfig::builder(p()).kernel_overhead(f64::NAN))
+        assert!(invalid(LdGpuConfig { devices: 0, ..base() }).contains("devices"));
+        assert!(invalid(LdGpuConfig { batches: Some(0), ..base() }).contains("batches"));
+        assert!(invalid(LdGpuConfig { vertices_per_warp: Some(0), ..base() })
+            .contains("vertices_per_warp"));
+        assert!(invalid(LdGpuConfig { probe_iterations: Some(0), ..base() })
+            .contains("probe_iterations"));
+        assert!(invalid(LdGpuConfig { kernel_overhead: 0.0, ..base() }).contains("kernel_overhead"));
+        assert!(invalid(LdGpuConfig { kernel_overhead: f64::NAN, ..base() })
             .contains("kernel_overhead"));
-        assert!(invalid(LdGpuConfig::builder(p()).frontier(true).retire_exhausted(false))
+        assert!(invalid(LdGpuConfig { retire_exhausted: false, ..base().with_frontier(true) })
             .contains("retire_exhausted"));
-        // validate() is non-consuming: a valid builder can be checked and
-        // then built.
-        let b = LdGpuConfig::builder(p()).devices(2).batches(5);
-        b.validate().unwrap();
-        assert_eq!(b.build().unwrap().batches, Some(5));
     }
 
     #[test]
-    fn builder_validates_streaming_knobs() {
-        let p = Platform::dgx_a100;
-        let ok = LdGpuConfig::builder(p())
-            .streaming(true)
-            .mem_budget(1 << 20)
-            .stream_window(4)
-            .build()
-            .unwrap();
-        assert!(ok.streaming);
-        assert_eq!(ok.mem_budget, Some(1 << 20));
-        assert_eq!(ok.stream_window, Some(4));
-        let msg = |b: LdGpuConfigBuilder| b.build().unwrap_err().to_string();
-        assert!(msg(LdGpuConfig::builder(p()).streaming(true).stream_window(1))
-            .contains("stream_window"));
-        assert!(msg(LdGpuConfig::builder(p()).streaming(true).mem_budget(0)).contains("mem_budget"));
-        assert!(msg(LdGpuConfig::builder(p()).stream_window(4)).contains("streaming"));
-        assert!(msg(LdGpuConfig::builder(p()).mem_budget(1024)).contains("streaming"));
-        // The legacy chain clamps rather than validating, like the other
+    fn validate_checks_streaming_knobs() {
+        let base = || LdGpuConfig::new(Platform::dgx_a100());
+        let ok = base().with_streaming(true).with_mem_budget(1 << 20).with_stream_window(4);
+        ok.validate().unwrap();
+        assert_eq!((ok.mem_budget, ok.stream_window), (Some(1 << 20), Some(4)));
+        let msg = |cfg: LdGpuConfig| cfg.validate().unwrap_err().to_string();
+        let streamed = || base().with_streaming(true);
+        assert!(msg(LdGpuConfig { stream_window: Some(1), ..streamed() }).contains("stream_window"));
+        assert!(msg(LdGpuConfig { mem_budget: Some(0), ..streamed() }).contains("mem_budget"));
+        assert!(msg(base().with_stream_window(4)).contains("streaming"));
+        assert!(msg(base().with_mem_budget(1024)).contains("streaming"));
+        // The chain clamps rather than validating, like the other
         // positional setters.
-        let legacy = LdGpuConfig::new(p()).with_streaming(true).with_stream_window(0);
-        assert_eq!(legacy.stream_window, Some(2));
-        assert_eq!(LdGpuConfig::new(p()).with_mem_budget(0).mem_budget, Some(1));
+        assert_eq!(streamed().with_stream_window(0).stream_window, Some(2));
+        assert_eq!(base().with_mem_budget(0).mem_budget, Some(1));
     }
 }

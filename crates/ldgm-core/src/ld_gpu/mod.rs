@@ -19,7 +19,7 @@ mod kernels;
 mod scratch;
 pub mod tune;
 
-pub use config::{LdGpuConfig, LdGpuConfigBuilder, LdGpuError};
+pub use config::{LdGpuConfig, LdGpuError};
 pub use driver::{LdGpu, LdGpuOutput};
 pub use kernels::{set_mates, set_pointers_batch, set_pointers_opt, PointingResult, PointingWork};
 pub use scratch::Scratch;

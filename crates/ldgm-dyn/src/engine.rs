@@ -72,40 +72,14 @@ impl DynConfig {
         }
     }
 
-    /// Set the device count (clamped to the platform maximum).
-    pub fn devices(mut self, n: usize) -> Self {
-        self.devices = n.max(1);
-        self
-    }
-
-    /// Set the compaction threshold fraction.
-    pub fn compact_frac(mut self, frac: f64) -> Self {
-        self.compact_frac = frac;
-        self
-    }
-
-    /// Fix the vertices-per-warp of frontier kernels.
-    pub fn vertices_per_warp(mut self, v: usize) -> Self {
-        self.vertices_per_warp = Some(v.max(1));
-        self
-    }
-
-    /// Toggle communication/computation overlap (chunked collectives on
-    /// the comm stream).
-    pub fn with_overlap(mut self, on: bool) -> Self {
-        self.overlap = on;
-        self
-    }
-
     /// Start a validated builder ([`DynConfigBuilder`]) with the same
     /// defaults as [`DynConfig::new`].
     pub fn builder(platform: Platform) -> DynConfigBuilder {
         DynConfigBuilder { cfg: DynConfig::new(platform) }
     }
 
-    /// Check the configuration for nonsense combinations. The chained
-    /// setters clamp silently for backward compatibility; the builder
-    /// routes through this instead.
+    /// Check the configuration for nonsense combinations (the builder
+    /// routes through this; struct literals can call it directly).
     pub fn validate(&self) -> Result<(), MatchError> {
         if self.devices == 0 {
             return Err(MatchError::InvalidConfig("devices must be >= 1".to_string()));
@@ -125,8 +99,7 @@ impl DynConfig {
     }
 }
 
-/// Validated builder for [`DynConfig`]; mirrors
-/// [`ldgm_core::ld_gpu::LdGpuConfigBuilder`].
+/// Validated builder for [`DynConfig`].
 #[derive(Clone, Debug)]
 pub struct DynConfigBuilder {
     cfg: DynConfig,
@@ -809,8 +782,12 @@ mod tests {
         engine.verify_current().unwrap();
     }
 
+    fn builder() -> DynConfigBuilder {
+        DynConfig::builder(Platform::dgx_a100())
+    }
+
     fn dgx1() -> DynConfig {
-        DynConfig::new(Platform::dgx_a100())
+        builder().build().unwrap()
     }
 
     #[test]
@@ -886,7 +863,7 @@ mod tests {
     #[test]
     fn random_batches_stay_canonical() {
         let g = urand(120, 500, 3);
-        let mut engine = IncrementalLd::new(g, dgx1().devices(2));
+        let mut engine = IncrementalLd::new(g, builder().devices(2).build().unwrap());
         let mut rng = ldgm_graph::Xoshiro256::seed_from_u64(99);
         for _ in 0..12 {
             let mut batch = Vec::new();
@@ -914,8 +891,11 @@ mod tests {
         // batch, for any device count.
         let g = urand(150, 700, 8);
         for ndev in [1, 4] {
-            let mut plain = IncrementalLd::new(g.clone(), dgx1().devices(ndev));
-            let mut ovl = IncrementalLd::new(g.clone(), dgx1().devices(ndev).with_overlap(true));
+            let mut plain = IncrementalLd::new(g.clone(), builder().devices(ndev).build().unwrap());
+            let mut ovl = IncrementalLd::new(
+                g.clone(),
+                builder().devices(ndev).overlap(true).build().unwrap(),
+            );
             let mut rng = ldgm_graph::Xoshiro256::seed_from_u64(77);
             for _ in 0..8 {
                 let mut batch = Vec::new();
@@ -965,7 +945,7 @@ mod tests {
     #[test]
     fn compaction_triggers_and_preserves_canonicity() {
         let g = urand(80, 200, 5);
-        let mut engine = IncrementalLd::new(g, dgx1().compact_frac(0.05));
+        let mut engine = IncrementalLd::new(g, builder().compact_frac(0.05).build().unwrap());
         let mut rng = ldgm_graph::Xoshiro256::seed_from_u64(17);
         let mut compacted = false;
         for _ in 0..20 {
@@ -987,7 +967,7 @@ mod tests {
     #[test]
     fn finish_packages_consistent_output() {
         let g = urand(150, 600, 6);
-        let mut engine = IncrementalLd::new(g, dgx1().devices(4));
+        let mut engine = IncrementalLd::new(g, builder().devices(4).build().unwrap());
         engine.apply_batch(&[
             EdgeUpdate::Insert { u: 0, v: 1, w: 2.0 },
             EdgeUpdate::Insert { u: 2, v: 3, w: 1.5 },

@@ -276,9 +276,11 @@ impl DynamicMatcherRegistry {
     pub fn with_defaults(setup: &MatcherSetup) -> Self {
         let setup = setup.resolved();
         let mut r = DynamicMatcherRegistry::new();
-        let cfg = DynConfig::new(setup.platform.clone())
-            .devices(setup.devices)
-            .with_overlap(setup.overlap);
+        let cfg = DynConfig::builder(setup.platform.clone())
+            .devices(setup.devices.max(1))
+            .overlap(setup.overlap)
+            .build()
+            .expect("a positive device count and the default compaction threshold are valid");
         r.register(Box::new(IncrementalMatcher::new(cfg)));
         r.register(Box::new(RecomputeMatcher::new(setup.clone())));
         r
