@@ -1,13 +1,11 @@
 //! Reusable per-run scratch arena for the LD driver and the hot kernels.
 //!
-//! The driver used to birth a handful of `Vec`s every iteration — the
-//! per-device frontier worklists, the overlap-mode comm-chunk staging,
-//! and (implicitly, via 8-byte mate gathers) the availability view each
-//! pointing scan needs. [`Scratch`] owns all of that state for the
-//! lifetime of a run — and across runs, for callers like the incremental
-//! engine that stabilize many deltas back to back: buffers are cleared,
-//! never dropped, so steady-state iterations allocate nothing on the
-//! host.
+//! [`Scratch`] owns every buffer an iteration refills — the availability
+//! view each pointing scan needs, the overlap-mode comm-chunk staging,
+//! and one [`DeviceScratch`] per device — for the lifetime of a run, and
+//! across runs for callers like the incremental engine that stabilize
+//! many deltas back to back: buffers are cleared, never dropped, so
+//! steady-state iterations allocate nothing on the host.
 //!
 //! The **availability lane** is the third SoA lane the pointing kernels
 //! scan (next to the CSR id and weight lanes): `avail[v] != 0` ⇔
@@ -27,29 +25,33 @@ use ldgm_graph::csr::{CsrGraph, VertexId};
 pub struct Scratch {
     /// The SoA availability lane: `avail[v] != 0` ⇔ `v` is unmatched.
     pub(crate) avail: Vec<u8>,
-    /// Per-device frontier worklists (ascending vertex ids inside the
-    /// device's partition range), rebuilt in place each iteration.
-    pub frontiers: Vec<Vec<VertexId>>,
-    /// Per-device overlap staging: one `(payload_bytes, ready_time)`
-    /// entry per batch whose collective slice became reducible.
-    pub chunk_bufs: Vec<Vec<(u64, f64)>>,
+    /// The driver's per-device buffers, one borrowed by each device task.
+    pub(crate) devices: Vec<DeviceScratch>,
     /// Flattened chunk list handed to the chunked allreduce.
     pub comm_staging: Vec<CommChunk>,
-    /// Stabilization worklist of the current round (incremental engine).
-    pub work: Vec<VertexId>,
     /// Stabilization worklist being built for the next round.
     pub next: Vec<VertexId>,
     /// Endpoints freed by delta edits, pending re-pointing.
     pub freed: Vec<VertexId>,
-    /// Streaming residency lane: `resident[v] != 0` ⇔ `v`'s window bands
-    /// are held on-device across iterations, so re-streaming them bills
-    /// no copy bytes. Sized lazily by the streaming driver; empty
-    /// otherwise.
-    pub resident: Vec<u8>,
-    /// Per-device streaming band worklist of the current band.
-    pub band_work: Vec<Vec<VertexId>>,
-    /// Per-device streaming band worklist being built for the next band.
-    pub band_next: Vec<Vec<VertexId>>,
+}
+
+/// One device's reusable buffers in the LD driver.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct DeviceScratch {
+    /// Frontier worklist: ascending vertex ids inside the device's part,
+    /// rebuilt in place each iteration.
+    pub(crate) frontier: Vec<VertexId>,
+    /// Overlap staging: one entry per slice of the pointer reduction
+    /// this device produced.
+    pub(crate) chunks: Vec<CommChunk>,
+    /// Streaming band worklists: the current band and the next.
+    pub(crate) work: Vec<VertexId>,
+    pub(crate) next: Vec<VertexId>,
+    /// Streaming residency, one entry per vertex of the part: how many
+    /// leading bands are still held on-device from the previous
+    /// iteration, so re-streaming them bills no copy bytes. Empty
+    /// outside streaming mode.
+    pub(crate) resident: Vec<u8>,
 }
 
 impl Scratch {
@@ -63,12 +65,9 @@ impl Scratch {
         Scratch { avail: vec![1; n], ..Default::default() }
     }
 
-    /// Attach `ndev` per-device frontier/staging buffers.
+    /// Attach `ndev` per-device driver buffers.
     pub fn with_devices(mut self, ndev: usize) -> Self {
-        self.frontiers = vec![Vec::new(); ndev];
-        self.chunk_bufs = vec![Vec::new(); ndev];
-        self.band_work = vec![Vec::new(); ndev];
-        self.band_next = vec![Vec::new(); ndev];
+        self.devices = vec![DeviceScratch::default(); ndev];
         self
     }
 
@@ -76,12 +75,6 @@ impl Scratch {
     #[inline]
     pub fn avail(&self) -> &[u8] {
         &self.avail
-    }
-
-    /// Mutable availability lane, for kernels that commit matches.
-    #[inline]
-    pub fn avail_mut(&mut self) -> &mut [u8] {
-        &mut self.avail
     }
 
     /// Rebuild the availability lane from a mate array (resizing to it),
@@ -115,11 +108,8 @@ mod tests {
     #[test]
     fn device_buffers_are_sized() {
         let s = Scratch::with_vertices(8).with_devices(3);
-        assert_eq!(s.frontiers.len(), 3);
-        assert_eq!(s.chunk_bufs.len(), 3);
-        assert_eq!(s.band_work.len(), 3);
-        assert_eq!(s.band_next.len(), 3);
-        // The residency lane is lazy: only streaming runs size it.
-        assert!(s.resident.is_empty());
+        assert_eq!(s.devices.len(), 3);
+        // The residency lanes are lazy: only streaming runs size them.
+        assert!(s.devices.iter().all(|d| d.resident.is_empty()));
     }
 }
