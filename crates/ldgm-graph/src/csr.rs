@@ -6,6 +6,8 @@
 //! representable. Each undirected edge `{u, v}` is stored twice (once per
 //! endpoint) and adjacency lists are sorted by neighbor id.
 
+use std::ops::Range;
+
 /// Vertex identifier. 32 bits covers the simulator-scale graphs (≤ 4.29 B
 /// vertices) while halving adjacency memory versus `u64`.
 pub type VertexId = u32;
@@ -230,6 +232,55 @@ impl CsrGraph {
         }
         CsrGraph { offsets, adj, weights }
     }
+}
+
+/// Fewest adjacency slots worth a parallel task of their own; smaller
+/// graphs stay on the calling thread.
+const MIN_TASK_SLOTS: usize = 1 << 16;
+
+/// Task count for a per-vertex pass over `slots` adjacency slots: at most
+/// one per core, and at least [`MIN_TASK_SLOTS`] slots per task.
+pub(crate) fn slot_tasks(slots: usize) -> usize {
+    let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+    threads.min(slots / MIN_TASK_SLOTS).max(1)
+}
+
+/// Split the vertices `0..offsets.len() - 1` into `tasks` contiguous
+/// ranges holding about equal adjacency-slot counts. A vertex is never
+/// split, so a hub heavier than one share makes its range larger and
+/// leaves some later ranges empty.
+pub(crate) fn split_by_slots(offsets: &[u64], tasks: usize) -> Vec<Range<usize>> {
+    let n = offsets.len() - 1;
+    let slots = offsets[n];
+    let mut cuts = Vec::with_capacity(tasks + 1);
+    cuts.push(0);
+    for t in 1..tasks as u64 {
+        let target = slots * t / tasks as u64;
+        // `target < slots`, so the cut lands in `0..=n`.
+        cuts.push(offsets.partition_point(|&o| o < target));
+    }
+    cuts.push(n);
+    cuts.windows(2).map(|c| c[0]..c[1]).collect()
+}
+
+/// The [`split_by_slots`] ranges, each paired with its disjoint slices of
+/// the adjacency lanes `adj` and `ws` (laid out by `offsets`).
+pub(crate) fn split_lanes<'a>(
+    offsets: &[u64],
+    adj: &'a mut [VertexId],
+    ws: &'a mut [Weight],
+    tasks: usize,
+) -> Vec<(Range<usize>, &'a mut [VertexId], &'a mut [Weight])> {
+    let mut jobs = Vec::with_capacity(tasks);
+    let (mut adj_rest, mut w_rest) = (adj, ws);
+    for vs in split_by_slots(offsets, tasks) {
+        let len = (offsets[vs.end] - offsets[vs.start]) as usize;
+        let (a, a_next) = adj_rest.split_at_mut(len);
+        let (w, w_next) = w_rest.split_at_mut(len);
+        (adj_rest, w_rest) = (a_next, w_next);
+        jobs.push((vs, a, w));
+    }
+    jobs
 }
 
 #[cfg(test)]

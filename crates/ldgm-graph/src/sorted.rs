@@ -15,12 +15,8 @@ use std::ops::Range;
 
 use rayon::prelude::*;
 
-use crate::csr::{CsrGraph, VertexId, Weight};
+use crate::csr::{slot_tasks, split_lanes, CsrGraph, VertexId, Weight};
 use crate::soa::{key_id, key_weight, pack_key};
-
-/// Fewest adjacency slots worth a parallel task of their own; smaller
-/// graphs sort on the calling thread.
-const MIN_TASK_SLOTS: usize = 1 << 16;
 
 /// Per-vertex adjacency permuted into (weight desc, id asc) order.
 ///
@@ -44,9 +40,7 @@ impl SortedAdjacency {
     /// one key buffer reused across its vertices. The result does not
     /// depend on the split.
     pub fn build(g: &CsrGraph) -> Self {
-        let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let tasks = threads.min(g.num_directed_edges() / MIN_TASK_SLOTS).max(1);
-        Self::build_in_tasks(g, tasks)
+        Self::build_in_tasks(g, slot_tasks(g.num_directed_edges()))
     }
 
     /// [`SortedAdjacency::build`] with the vertex set split into `tasks`
@@ -55,18 +49,9 @@ impl SortedAdjacency {
         let n = g.num_vertices();
         let mut adj = g.adjacency().to_vec();
         let mut weights = g.weight_array().to_vec();
-        let mut jobs = Vec::with_capacity(tasks);
-        let mut adj_rest: &mut [VertexId] = &mut adj;
-        let mut w_rest: &mut [Weight] = &mut weights;
-        for vs in split_by_slots(g.offsets(), tasks) {
-            let len = (g.offsets()[vs.end] - g.offsets()[vs.start]) as usize;
-            let (a, a_next) = adj_rest.split_at_mut(len);
-            let (w, w_next) = w_rest.split_at_mut(len);
-            adj_rest = a_next;
-            w_rest = w_next;
-            jobs.push((vs, a, w));
-        }
-        jobs.into_par_iter().for_each(|(vs, a, w)| sort_lists(g.offsets(), vs, a, w));
+        split_lanes(g.offsets(), &mut adj, &mut weights, tasks)
+            .into_par_iter()
+            .for_each(|(vs, a, w)| sort_lists(g.offsets(), vs, a, w));
         SortedAdjacency { num_vertices: n, adj, weights }
     }
 
@@ -138,24 +123,6 @@ impl SortedAdjacency {
     }
 }
 
-/// Split the vertices `0..offsets.len() - 1` into `tasks` contiguous
-/// ranges holding about equal adjacency-slot counts. A vertex is never
-/// split, so a hub heavier than one share makes its range larger and
-/// leaves some later ranges empty.
-fn split_by_slots(offsets: &[u64], tasks: usize) -> Vec<Range<usize>> {
-    let n = offsets.len() - 1;
-    let slots = offsets[n];
-    let mut cuts = Vec::with_capacity(tasks + 1);
-    cuts.push(0);
-    for t in 1..tasks as u64 {
-        let target = slots * t / tasks as u64;
-        // `target < slots`, so the cut lands in `0..=n`.
-        cuts.push(offsets.partition_point(|&o| o < target));
-    }
-    cuts.push(n);
-    cuts.windows(2).map(|c| c[0]..c[1]).collect()
-}
-
 /// Sort the lists of the vertices in `vs`, whose slots `adj` and `ws`
 /// hold in base-graph order (a copy of the graph's lanes for that range).
 fn sort_lists(offsets: &[u64], vs: Range<usize>, adj: &mut [VertexId], ws: &mut [Weight]) {
@@ -182,6 +149,7 @@ fn sort_lists(offsets: &[u64], vs: Range<usize>, adj: &mut [VertexId], ws: &mut 
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
+    use crate::csr::split_by_slots;
     use crate::gen::{rmat, urand, RmatParams};
 
     #[test]
