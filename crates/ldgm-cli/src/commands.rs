@@ -317,12 +317,13 @@ fn tuned_matcher(
 /// One-line summary of a tuning verdict for command output.
 fn tune_note(report: &TuneReport) -> String {
     format!(
-        "auto-tune: probed {} candidates in {:.1} s, locked [{}]; simulated {:.3} ms vs default {:.3} ms\n",
+        "auto-tune: probed {} candidates in {:.1} s, locked [{}]; simulated {:.3} ms vs default {:.3} ms; {} kernel executions\n",
         report.candidates,
         report.wall_s,
         report.knobs(),
         report.sim_time * 1e3,
         report.base_sim_time * 1e3,
+        report.executions,
     )
 }
 
@@ -1109,6 +1110,20 @@ mod tests {
         let (secs, rest) = rest.split_once(" s, locked [").expect("locked knobs");
         assert!(secs.parse::<f64>().is_ok_and(|s| s >= 0.0), "{note}");
         assert!(rest.contains("]; simulated "), "{note}");
+        // The cost in executions ends the line: candidates that differ
+        // only in sparse collectives and overlap share one, so the 64
+        // probes of the default grid take 16, plus the full runs.
+        let candidates: usize = note["auto-tune: probed ".len()..]
+            .split_once(' ')
+            .and_then(|(c, _)| c.parse().ok())
+            .expect("candidate count");
+        let executions: usize = rest
+            .strip_suffix(" kernel executions")
+            .and_then(|r| r.rsplit_once("; "))
+            .and_then(|(_, e)| e.parse().ok())
+            .expect("execution count");
+        assert_eq!(candidates, 64, "{note}");
+        assert!((17..=19).contains(&executions), "{note}");
         assert!(r.contains("maximal = true"), "{r}");
         std::fs::remove_file(&path).ok();
     }

@@ -5,7 +5,7 @@ use ldgm_gpusim::Platform;
 use crate::matcher::MatchError;
 
 /// Configuration of an LD-GPU run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LdGpuConfig {
     /// Simulated platform (device model, interconnect, cost model, comm
     /// runtime).
@@ -174,6 +174,14 @@ impl LdGpuConfig {
     /// are billed, never which kernel variant runs.
     pub fn is_optimized(&self) -> bool {
         self.sorted_index || self.frontier || self.sparse_collectives
+    }
+
+    /// The config with its billing-lane knobs (`sparse_collectives`,
+    /// `overlap`) cleared. Configs of one class make identical kernel
+    /// calls and differ only in how collectives are billed, so one
+    /// execution serves them all as lanes.
+    pub(crate) fn execution_class(&self) -> LdGpuConfig {
+        LdGpuConfig { sparse_collectives: false, overlap: false, ..self.clone() }
     }
 
     /// Set the device count.

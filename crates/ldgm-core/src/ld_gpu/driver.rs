@@ -1,12 +1,20 @@
 //! The LD-GPU driver: Algorithm 2 of the paper on the simulated platform.
 //!
-//! Every run ([`LdGpu::try_run`], or the tuner's runs over a shared
-//! sorted index) resolves the config once, before the first iteration,
-//! into two strategies — where SETPOINTERS reads neighbors from
-//! ([`Pointing`]) and how the devices reduce the pointer and mate arrays
-//! ([`Reduce`]) — and plans the batches (or streaming bands) and the
-//! cluster placement. The loop is then the paper's skeleton, one plain
-//! function per step:
+//! Every execution ([`run_lanes`]) bills one or more configs, its
+//! *lanes*, that share an [`LdGpuConfig::execution_class`]: they may
+//! differ only in sparse collectives and overlap, which decide how the
+//! devices reduce ([`Reduce`]) and never what a kernel computes.
+//! [`LdGpu::try_run`] is the one-lane call; the auto-tuner runs each
+//! class of its grid as one execution with a lane per candidate. An
+//! execution resolves the class once, before the first iteration, into
+//! where SETPOINTERS reads neighbors from ([`Pointing`]), and plans the
+//! batches (or streaming bands) and the cluster placement. Each lane
+//! holds its reduction mode and its own [`SimRuntime`]. The host arrays
+//! (pointers, mates, retirement, availability, frontiers) and every
+//! kernel call exist once per execution, and every billing call is made
+//! on each lane in the order a single run of that lane's config makes
+//! it, so each lane's output equals that run's bit for bit. The loop is
+//! the paper's skeleton, one plain function per step:
 //!
 //! 1. **point** ([`Run::point`]) — every device walks its batches,
 //!    loading batch `b+1` while the SETPOINTERS kernel of batch `b` runs
@@ -25,7 +33,8 @@
 //! remain), when the frontier empties, or after the configured number of
 //! probe iterations. Kernel logic executes for real (device-parallel via
 //! rayon, each device task borrowing its vertex range and its
-//! [`DeviceScratch`] disjointly); all simulated time is billed through
+//! [`DeviceScratch`] disjointly, and carrying its [`DeviceCtx`] of every
+//! lane); all simulated time is billed through each lane's
 //! [`ldgm_gpusim::SimRuntime`], which owns the timers, the trace, the
 //! metrics registry, and the timeline-derived phase breakdown.
 //!
@@ -49,6 +58,8 @@
 //!
 //! [`prefer`]: crate::matching::prefer
 
+use std::borrow::Cow;
+
 use rayon::prelude::*;
 
 use ldgm_gpusim::metrics::names;
@@ -58,7 +69,7 @@ use ldgm_gpusim::{
 };
 use ldgm_graph::csr::{CsrGraph, VertexId};
 use ldgm_graph::SortedAdjacency;
-use ldgm_part::placement::{cut_stats, NodePlacement};
+use ldgm_part::placement::{cut_stats, CutStats, NodePlacement};
 use ldgm_part::{batch, memory, plan_substreams, Partition, SubstreamPlan, VertexRange};
 
 use super::config::{LdGpuConfig, LdGpuError};
@@ -130,6 +141,15 @@ enum Reduce {
 }
 
 impl Reduce {
+    /// The reduction mode `cfg` selects.
+    fn of(cfg: &LdGpuConfig) -> Self {
+        match (cfg.overlap, cfg.sparse_collectives) {
+            (true, sparse) => Reduce::Chunked { sparse },
+            (false, true) => Reduce::Sparse,
+            (false, false) => Reduce::Dense,
+        }
+    }
+
     /// Overlap mode: the bytes of one reducible slice of the pointer
     /// array — its `written` slots when sparse, its whole `span` when
     /// dense. `None` outside overlap mode.
@@ -142,18 +162,19 @@ impl Reduce {
     }
 
     /// Allreduce the pointer array after SETPOINTERS wrote `written`
-    /// slots (Algorithm 2 line 7).
+    /// slots (Algorithm 2 line 7); `chunks` holds each device's slices
+    /// in overlap mode.
     fn pointers(
         self,
         rt: &mut SimRuntime,
-        devices: &[DeviceScratch],
+        chunks: &[Vec<CommChunk>],
         staging: &mut Vec<CommChunk>,
         written: u64,
         n: usize,
     ) {
         if let Reduce::Chunked { .. } = self {
             staging.clear();
-            staging.extend(devices.iter().flat_map(|d| &d.chunks));
+            staging.extend(chunks.iter().flatten());
             rt.allreduce_chunked("allreduce ptr", staging);
             return;
         }
@@ -188,49 +209,111 @@ impl Reduce {
     }
 }
 
+/// One billing lane of an execution: one config's reduction mode, billed
+/// on a runtime of its own. The lanes of an execution share every host
+/// array and kernel call; only what they bill differs.
+struct Lane {
+    reduce: Reduce,
+    /// Emit the opt.* skip counters: a layer that can skip work is on.
+    optimized: bool,
+    rt: SimRuntime,
+    /// Overlap staging, one list per device: the slices of the pointer
+    /// reduction it produced this round.
+    chunks: Vec<Vec<CommChunk>>,
+    /// Warp-weighted occupancy sum and weight of this round's launches.
+    occ_weighted: f64,
+    occ_weight: f64,
+    /// Streaming: prefetch copy time that ran under band kernels vs.
+    /// time the compute stream sat waiting on the copy, over the run.
+    prefetch_hidden: f64,
+    prefetch_exposed: f64,
+}
+
+impl Lane {
+    /// A fresh lane for `cfg` on `ndev` devices, with the cluster
+    /// placement's `cut` (if any) billed into its collectives.
+    fn new(cfg: &LdGpuConfig, ndev: usize, cut: Option<&CutStats>) -> Self {
+        let mut rt = SimRuntime::new(&cfg.platform, ndev)
+            .with_kernel_overhead(cfg.kernel_overhead)
+            .with_trace(cfg.collect_trace);
+        if let Some(stats) = cut {
+            rt.gauge_set(names::PART_INTER_NODE_CUT, stats.cut_fraction());
+            if cfg.topology_placement {
+                // Only the boundary slice of the reduced arrays needs the
+                // leader ring; ship that fraction inter-node.
+                rt.gauge_set(names::PART_BOUNDARY_FRACTION, stats.boundary_fraction());
+                rt.set_inter_cut(stats.boundary_fraction());
+            }
+        }
+        Lane {
+            reduce: Reduce::of(cfg),
+            optimized: cfg.is_optimized(),
+            rt,
+            chunks: vec![Vec::new(); ndev],
+            occ_weighted: 0.0,
+            occ_weight: 0.0,
+            prefetch_hidden: 0.0,
+            prefetch_exposed: 0.0,
+        }
+    }
+}
+
+/// One device on one lane during the pointing phase: the timeline that
+/// bills the device's copies, kernels and syncs, and what they billed.
+struct LaneDevice {
+    ctx: DeviceCtx,
+    reduce: Reduce,
+    chunks: Vec<CommChunk>,
+    occ_weighted: f64,
+    occ_weight: f64,
+    prefetch_hidden: f64,
+    prefetch_exposed: f64,
+}
+
+impl LaneDevice {
+    /// Bill one SETPOINTERS launch into stream buffer `buf` and fold it
+    /// into the lane's occupancy.
+    fn launch(
+        &mut self,
+        buf: usize,
+        label: Cow<'static, str>,
+        res: &PointingResult,
+    ) -> KernelLaunch {
+        let launch = self.ctx.launch_kernel(Some(buf), label, &res.stats);
+        self.occ_weighted += launch.occupancy * res.stats.warps_launched as f64;
+        self.occ_weight += res.stats.warps_launched as f64;
+        launch
+    }
+}
+
 /// One device's pointing phase: its part, its slices of the global
-/// pointer and retirement arrays, its buffers, and its timeline (which
-/// bills every copy, kernel and sync the task issues).
+/// pointer and retirement arrays, its buffers, and its timeline on every
+/// lane.
 struct DeviceTask<'a> {
     device: usize,
     part: VertexRange,
     pointers: &'a mut [u64],
     retired: &'a mut [u8],
     bufs: &'a mut DeviceScratch,
-    ctx: DeviceCtx,
+    lanes: Vec<LaneDevice>,
 }
 
-/// What a device reports back after its pointing phase.
+/// What a device's kernels computed in its pointing phase (the same on
+/// every lane).
 #[derive(Default)]
 struct DeviceReport {
     res: PointingResult,
     batches_skipped: u64,
-    occ_weighted: f64,
-    occ_weight: f64,
-    /// Streaming: prefetch copy time that ran under band kernels vs.
-    /// time the compute stream sat waiting on the copy.
-    prefetch_hidden: f64,
-    prefetch_exposed: f64,
 }
 
-impl DeviceReport {
-    /// Fold one SETPOINTERS launch into the report.
-    fn add(&mut self, res: &PointingResult, launch: &KernelLaunch) {
-        self.res.merge(res);
-        self.occ_weighted += launch.occupancy * res.stats.warps_launched as f64;
-        self.occ_weight += res.stats.warps_launched as f64;
-    }
-}
-
-/// The config resolved once per run: everything the iteration loop
-/// reads.
+/// The config resolved once per execution: everything the iteration
+/// loop reads that its lanes share.
 struct Run<'a> {
     g: &'a CsrGraph,
     parts: &'a [VertexRange],
     pointing: Pointing<'a>,
     /// Per-device batch plans (empty under [`Pointing::Bands`]).
     batches: Vec<Vec<VertexRange>>,
-    reduce: Reduce,
     retire: bool,
     /// Resident warp slots of one device.
     slots: usize,
@@ -249,31 +332,52 @@ impl Run<'_> {
     }
 
     /// SETPOINTERS on every device in parallel (Algorithm 2 lines 3-6);
-    /// frontier rounds launch over each device's frontier only.
+    /// frontier rounds launch over each device's frontier only. Each
+    /// device task runs its kernels once and bills them on every lane.
     fn point(
         &self,
-        rt: &mut SimRuntime,
+        lanes: &mut [Lane],
         mut pointers: &mut [u64],
         mut retired: &mut [u8],
         devices: &mut [DeviceScratch],
         avail: &[u8],
         frontier_round: bool,
     ) -> Vec<DeviceReport> {
+        let mut by_lane: Vec<_> = lanes
+            .iter_mut()
+            .map(|lane| {
+                let reduce = lane.reduce;
+                let chunks = std::mem::take(&mut lane.chunks);
+                lane.rt.detach_devices().into_iter().zip(chunks).map(move |(ctx, mut chunks)| {
+                    chunks.clear();
+                    LaneDevice {
+                        ctx,
+                        reduce,
+                        chunks,
+                        occ_weighted: 0.0,
+                        occ_weight: 0.0,
+                        prefetch_hidden: 0.0,
+                        prefetch_exposed: 0.0,
+                    }
+                })
+            })
+            .collect();
         let tasks: Vec<DeviceTask<'_>> = self
             .parts
             .iter()
             .zip(devices)
-            .zip(rt.detach_devices())
             .enumerate()
-            .map(|(device, ((part, bufs), ctx))| {
+            .map(|(device, (part, bufs))| {
                 let len = part.num_vertices();
                 let (p, p_rest) = std::mem::take(&mut pointers).split_at_mut(len);
                 let (r, r_rest) = std::mem::take(&mut retired).split_at_mut(len);
                 (pointers, retired) = (p_rest, r_rest);
-                DeviceTask { device, part: *part, pointers: p, retired: r, bufs, ctx }
+                let lanes = by_lane.iter_mut().map(|l| l.next().expect("a timeline per device"));
+                let lanes = lanes.collect();
+                DeviceTask { device, part: *part, pointers: p, retired: r, bufs, lanes }
             })
             .collect();
-        let (ctxs, reports): (Vec<_>, Vec<_>) = tasks
+        let (by_device, reports): (Vec<_>, Vec<_>) = tasks
             .into_par_iter()
             .map(|mut task| {
                 let rep = match &self.pointing {
@@ -290,13 +394,31 @@ impl Run<'_> {
                 // host-visible clock stays at the last issue point so
                 // next-iteration prefetch copies can run under the
                 // in-flight collective chunks.
-                if !matches!(self.reduce, Reduce::Chunked { .. }) {
-                    task.ctx.drain();
+                for lane in &mut task.lanes {
+                    if !matches!(lane.reduce, Reduce::Chunked { .. }) {
+                        lane.ctx.drain();
+                    }
                 }
-                (task.ctx, rep)
+                (task.lanes, rep)
             })
             .collect();
-        rt.attach_devices(ctxs);
+        // Hand every lane its device timelines back, in device order.
+        let mut by_device: Vec<_> = by_device.into_iter().map(Vec::into_iter).collect();
+        for lane in lanes {
+            let (mut ctxs, mut chunks) = (Vec::new(), Vec::new());
+            (lane.occ_weighted, lane.occ_weight) = (0.0, 0.0);
+            for dev in &mut by_device {
+                let d = dev.next().expect("a timeline per lane");
+                lane.occ_weighted += d.occ_weighted;
+                lane.occ_weight += d.occ_weight;
+                lane.prefetch_hidden += d.prefetch_hidden;
+                lane.prefetch_exposed += d.prefetch_exposed;
+                ctxs.push(d.ctx);
+                chunks.push(d.chunks);
+            }
+            lane.rt.attach_devices(ctxs);
+            lane.chunks = chunks;
+        }
         reports
     }
 
@@ -313,8 +435,7 @@ impl Run<'_> {
         frontier_round: bool,
     ) -> DeviceReport {
         let mut rep = DeviceReport::default();
-        let DeviceScratch { frontier, chunks, .. } = &mut *task.bufs;
-        chunks.clear();
+        let frontier = &task.bufs.frontier;
         let batches = &self.batches[task.device];
         let restream = batches.len() > 2;
         for (b, brange) in batches.iter().enumerate() {
@@ -336,14 +457,13 @@ impl Run<'_> {
                 rep.batches_skipped += 1;
                 // Dense collectives still ship the untouched slice;
                 // nothing produces it this round, so it is ready at once.
-                if self.reduce == (Reduce::Chunked { sparse: false }) {
-                    chunks.push(CommChunk { bytes: 8 * brange.num_vertices() as u64, ready: 0.0 });
+                for lane in &mut task.lanes {
+                    if lane.reduce == (Reduce::Chunked { sparse: false }) {
+                        let bytes = 8 * brange.num_vertices() as u64;
+                        lane.chunks.push(CommChunk { bytes, ready: 0.0 });
+                    }
                 }
                 continue;
-            }
-            if restream {
-                let label = task.ctx.label("copy", || format!("copy b{b}"));
-                task.ctx.h2d_copy(b, memory::batch_buffer_bytes(brange), label);
             }
             let (pw, vpw) = match work {
                 Some(w) => (PointingWork::Worklist(w), self.worklist_vpw(w.len())),
@@ -362,19 +482,25 @@ impl Run<'_> {
                 vpw,
                 self.retire,
             );
-            let label = task.ctx.label("point", || format!("point b{b}"));
-            let launch = task.ctx.launch_kernel(Some(b), label, &res.stats);
-            rep.add(&res, &launch);
-            // Overlap mode: the batch's slice of the pointer reduction is
-            // ready the moment its kernel retires.
             let span = brange.num_vertices();
-            if let Some(bytes) = self.reduce.chunk_bytes(res.stats.vertices_processed, span) {
-                chunks.push(CommChunk { bytes, ready: launch.end });
+            for lane in &mut task.lanes {
+                if restream {
+                    let label = lane.ctx.label("copy", || format!("copy b{b}"));
+                    lane.ctx.h2d_copy(b, memory::batch_buffer_bytes(brange), label);
+                }
+                let label = lane.ctx.label("point", || format!("point b{b}"));
+                let launch = lane.launch(b, label, &res);
+                // Overlap mode: the batch's slice of the pointer
+                // reduction is ready the moment its kernel retires.
+                if let Some(bytes) = lane.reduce.chunk_bytes(res.stats.vertices_processed, span) {
+                    lane.chunks.push(CommChunk { bytes, ready: launch.end });
+                }
+                if restream {
+                    let label = lane.ctx.label("sync", || format!("sync b{b}"));
+                    lane.ctx.host_sync(label);
+                }
             }
-            if restream {
-                let label = task.ctx.label("sync", || format!("sync b{b}"));
-                task.ctx.host_sync(label);
-            }
+            rep.res.merge(&res);
         }
         rep
     }
@@ -404,9 +530,8 @@ impl Run<'_> {
         frontier_round: bool,
     ) -> DeviceReport {
         let mut rep = DeviceReport::default();
-        let DeviceScratch { frontier, chunks, work, next, resident } = &mut *task.bufs;
+        let DeviceScratch { frontier, work, next, resident } = &mut *task.bufs;
         let (g, part, layout) = (self.g, task.part, plan.layout);
-        chunks.clear();
         work.clear();
         // Iteration worklist: the frontier in frontier rounds, otherwise
         // every live vertex of the part. Degree-0 vertices can never
@@ -420,7 +545,7 @@ impl Run<'_> {
                     && g.degree(u) > 0
             }));
         }
-        let mut last_end = 0.0;
+        let mut last_end = vec![0.0; task.lanes.len()];
         for band in 0..layout.num_bands() {
             if work.is_empty() {
                 break;
@@ -436,10 +561,6 @@ impl Run<'_> {
                 }
                 resident[i] = if band < plan.window { (band + 1).min(255) as u8 } else { 0 };
             }
-            let copy = (bytes > 0).then(|| {
-                let label = task.ctx.label("copy", || format!("stream s{band}"));
-                task.ctx.h2d_copy(band, bytes, label)
-            });
             next.clear();
             let res = set_pointers_band(
                 g,
@@ -455,23 +576,31 @@ impl Run<'_> {
                 self.worklist_vpw(work.len()),
                 self.retire,
             );
-            let t0 = task.ctx.compute_done();
-            let label = task.ctx.label("point", || format!("point s{band}"));
-            let launch = task.ctx.launch_kernel(Some(band), label, &res.stats);
-            if let Some((cs, ce)) = copy {
-                let exposed = (launch.start - t0).clamp(0.0, ce - cs);
-                rep.prefetch_exposed += exposed;
-                rep.prefetch_hidden += (ce - cs) - exposed;
+            for (lane, end) in task.lanes.iter_mut().zip(&mut last_end) {
+                let copy = (bytes > 0).then(|| {
+                    let label = lane.ctx.label("copy", || format!("stream s{band}"));
+                    lane.ctx.h2d_copy(band, bytes, label)
+                });
+                let t0 = lane.ctx.compute_done();
+                let label = lane.ctx.label("point", || format!("point s{band}"));
+                let launch = lane.launch(band, label, &res);
+                if let Some((cs, ce)) = copy {
+                    let exposed = (launch.start - t0).clamp(0.0, ce - cs);
+                    lane.prefetch_exposed += exposed;
+                    lane.prefetch_hidden += (ce - cs) - exposed;
+                }
+                *end = launch.end;
             }
-            rep.add(&res, &launch);
-            last_end = launch.end;
+            rep.res.merge(&res);
             std::mem::swap(work, next);
         }
         // Overlap mode: the device's whole slice of the pointer
         // reduction is ready when its last band kernel retires.
         let written = rep.res.stats.vertices_processed;
-        if let Some(bytes) = self.reduce.chunk_bytes(written, part.num_vertices()) {
-            chunks.push(CommChunk { bytes, ready: last_end });
+        for (lane, ready) in task.lanes.iter_mut().zip(last_end) {
+            if let Some(bytes) = lane.reduce.chunk_bytes(written, part.num_vertices()) {
+                lane.chunks.push(CommChunk { bytes, ready });
+            }
         }
         rep
     }
@@ -570,13 +699,17 @@ fn plan_batches(
 /// inter-node cut. Billing-layer only — the reductions still span every
 /// device and the matching is bit-identical under any placement; what
 /// changes is how much of each collective payload the simulator sends
-/// over the slow inter-node link.
-fn place_on_nodes(g: &CsrGraph, partition: &Partition, cfg: &LdGpuConfig, rt: &mut SimRuntime) {
-    let ndev = rt.num_devices();
-    let Some(topo) = cfg.platform.cluster_topology() else { return };
+/// over the slow inter-node link. `None` when the devices fit one node.
+fn place_on_nodes(
+    g: &CsrGraph,
+    partition: &Partition,
+    cfg: &LdGpuConfig,
+    ndev: usize,
+) -> Option<CutStats> {
+    let topo = cfg.platform.cluster_topology()?;
     let nodes = topo.nodes_spanned(ndev);
     if nodes <= 1 {
-        return;
+        return None;
     }
     let caps: Vec<usize> = (0..nodes).map(|node| topo.devices_on_node(node, ndev)).collect();
     let placement = if cfg.topology_placement {
@@ -584,14 +717,7 @@ fn place_on_nodes(g: &CsrGraph, partition: &Partition, cfg: &LdGpuConfig, rt: &m
     } else {
         NodePlacement::grouped(ndev, &caps)
     };
-    let stats = cut_stats(g, partition, &placement);
-    rt.gauge_set(names::PART_INTER_NODE_CUT, stats.cut_fraction());
-    if cfg.topology_placement {
-        // Only the boundary slice of the reduced arrays needs the leader
-        // ring; ship that fraction inter-node.
-        rt.gauge_set(names::PART_BOUNDARY_FRACTION, stats.boundary_fraction());
-        rt.set_inter_cut(stats.boundary_fraction());
-    }
+    Some(cut_stats(g, partition, &placement))
 }
 
 impl LdGpu {
@@ -613,129 +739,150 @@ impl LdGpu {
         self.run_indexed(g, index.as_ref())
     }
 
-    /// Run on `g` with a prebuilt preference-sorted index of `g`. The
-    /// index depends only on the graph, so callers that run many configs
-    /// on one graph (the auto-tuner) build it once and lend it to every
-    /// run. It is read only when the config scans through it
-    /// (`sorted_index` or `streaming`, which then require it) and ignored
-    /// otherwise.
-    ///
-    /// # Panics
-    /// If `index` was built from a graph with another vertex or edge
-    /// count, or if the config needs the index and none is given.
+    /// Run on `g` with a prebuilt preference-sorted index of `g`: the
+    /// one-lane call of [`run_lanes`].
     pub(crate) fn run_indexed(
         &self,
         g: &CsrGraph,
         index: Option<&SortedAdjacency>,
     ) -> Result<LdGpuOutput, LdGpuError> {
-        assert!(
-            index.is_none_or(|idx| idx.num_vertices() == g.num_vertices()
-                && idx.num_directed_edges() == g.num_directed_edges()),
-            "sorted index built from another graph"
-        );
-        let cfg = &self.cfg;
-        let n = g.num_vertices();
-        let ndev = cfg.devices.clamp(1, cfg.platform.max_devices);
-        let partition = Partition::edge_balanced(g, ndev);
-        let index = || index.expect("sorted-index and streaming runs need the sorted index");
-        let mut scratch = Scratch::for_graph(g).with_devices(ndev);
+        let mut outs = run_lanes(g, index, std::slice::from_ref(&self.cfg))?;
+        Ok(outs.pop().expect("one output per lane"))
+    }
+}
 
-        // Resolve the pointing source and its plan. Streaming reports
-        // the deepest band count as `batches`: the copy/kernel rounds a
-        // full iteration takes.
-        let (pointing, batches, nbatches) = if cfg.streaming {
-            let plans = plan_bands(g, &partition, cfg)?;
-            let deepest = plans.iter().map(|p| p.layout.num_bands()).max().unwrap_or(0);
-            for (dev, part) in scratch.devices.iter_mut().zip(&partition.parts) {
-                dev.resident = vec![0; part.num_vertices()];
-            }
-            (Pointing::Bands { index: index(), plans }, vec![Vec::new(); ndev], deepest.max(1))
-        } else {
-            let (count, plans) = plan_batches(g, &partition, cfg)?;
-            let pointing =
-                if cfg.sorted_index { Pointing::Sorted(index()) } else { Pointing::Full };
-            (pointing, plans, count)
-        };
-        let spec = &cfg.platform.device;
-        let slots = (spec.sm_count * spec.max_warps_per_sm) as usize;
-        let run = Run {
-            g,
-            parts: &partition.parts,
-            pointing,
-            batches,
-            reduce: match (cfg.overlap, cfg.sparse_collectives) {
-                (true, sparse) => Reduce::Chunked { sparse },
-                (false, true) => Reduce::Sparse,
-                (false, false) => Reduce::Dense,
-            },
-            retire: cfg.retire_exhausted,
-            slots,
-            fixed_vpw: cfg.vertices_per_warp,
-            full_vpw: cfg
-                .vertices_per_warp
-                .unwrap_or_else(|| n.div_ceil(ndev).div_ceil(slots).max(1)),
-        };
-        let streaming = cfg.streaming;
-        let frontier = cfg.frontier;
-        let collect_iterations = cfg.collect_iterations;
-        let probe_iterations = cfg.probe_iterations;
-        // The opt.* skip counters are emitted whenever a layer that can
-        // skip work is on; batch skips also when they fired anyway
-        // (empty batches of an oversized plan).
-        let optimized = cfg.is_optimized();
+/// Run one execution on `g` and bill it on one lane per config of
+/// `cfgs`, returning one output per config, in order. Each output equals
+/// what a run of its config alone returns, bit for bit.
+///
+/// The configs must share an [`LdGpuConfig::execution_class`]: they may
+/// differ only in `sparse_collectives` and `overlap`, which change how
+/// the collectives are billed and never a kernel's inputs. So the
+/// kernels run once and every host array (pointers, mates, retirement,
+/// availability, frontiers) exists once, while each lane owns a
+/// [`SimRuntime`] that receives exactly the calls a single run of its
+/// config makes, in the same order.
+///
+/// `index` is a prebuilt preference-sorted index of `g`. It depends
+/// only on the graph, so callers that run many configs on one graph
+/// (the auto-tuner) build it once and lend it to every run. It is read
+/// only when the configs scan through it (`sorted_index` or
+/// `streaming`, which then require it) and ignored otherwise.
+///
+/// # Panics
+/// If `cfgs` is empty or spans two classes, if `index` was built from a
+/// graph with another vertex or edge count, or if the configs need the
+/// index and none is given.
+pub(crate) fn run_lanes(
+    g: &CsrGraph,
+    index: Option<&SortedAdjacency>,
+    cfgs: &[LdGpuConfig],
+) -> Result<Vec<LdGpuOutput>, LdGpuError> {
+    let cfg = cfgs.first().expect("an execution bills at least one lane");
+    let class = cfg.execution_class();
+    assert!(
+        cfgs.iter().all(|c| c.execution_class() == class),
+        "lanes of one execution differ beyond sparse collectives and overlap"
+    );
+    assert!(
+        index.is_none_or(|idx| idx.num_vertices() == g.num_vertices()
+            && idx.num_directed_edges() == g.num_directed_edges()),
+        "sorted index built from another graph"
+    );
+    let n = g.num_vertices();
+    let ndev = cfg.devices.clamp(1, cfg.platform.max_devices);
+    let partition = Partition::edge_balanced(g, ndev);
+    let index = || index.expect("sorted-index and streaming runs need the sorted index");
+    let mut scratch = Scratch::for_graph(g).with_devices(ndev);
 
-        let mut rt = SimRuntime::new(&cfg.platform, ndev)
-            .with_kernel_overhead(cfg.kernel_overhead)
-            .with_trace(cfg.collect_trace);
-        place_on_nodes(g, &partition, cfg, &mut rt);
+    // Resolve the pointing source and its plan. Streaming reports the
+    // deepest band count as `batches`: the copy/kernel rounds a full
+    // iteration takes.
+    let (pointing, batches, nbatches) = if cfg.streaming {
+        let plans = plan_bands(g, &partition, cfg)?;
+        let deepest = plans.iter().map(|p| p.layout.num_bands()).max().unwrap_or(0);
+        for (dev, part) in scratch.devices.iter_mut().zip(&partition.parts) {
+            dev.resident = vec![0; part.num_vertices()];
+        }
+        (Pointing::Bands { index: index(), plans }, vec![Vec::new(); ndev], deepest.max(1))
+    } else {
+        let (count, plans) = plan_batches(g, &partition, cfg)?;
+        let pointing = if cfg.sorted_index { Pointing::Sorted(index()) } else { Pointing::Full };
+        (pointing, plans, count)
+    };
+    let spec = &cfg.platform.device;
+    let slots = (spec.sm_count * spec.max_warps_per_sm) as usize;
+    let run = Run {
+        g,
+        parts: &partition.parts,
+        pointing,
+        batches,
+        retire: cfg.retire_exhausted,
+        slots,
+        fixed_vpw: cfg.vertices_per_warp,
+        full_vpw: cfg.vertices_per_warp.unwrap_or_else(|| n.div_ceil(ndev).div_ceil(slots).max(1)),
+    };
+    let streaming = cfg.streaming;
+    let frontier = cfg.frontier;
+    let collect_iterations = cfg.collect_iterations;
+    let probe_iterations = cfg.probe_iterations;
 
-        // Global device-resident arrays.
-        let mut pointers: Vec<u64> = vec![NONE_SENTINEL; n];
-        let mut mate: Vec<u64> = vec![NONE_SENTINEL; n];
-        let mut retired: Vec<u8> = vec![0; n];
-        let Scratch { avail, devices, comm_staging, .. } = &mut scratch;
-        let total_directed = g.num_directed_edges() as u64;
-        let mut iterations = 0usize;
-        let (mut prefetch_hidden, mut prefetch_exposed) = (0.0f64, 0.0f64);
+    let cut = place_on_nodes(g, &partition, cfg, ndev);
+    let mut lanes: Vec<Lane> = cfgs.iter().map(|c| Lane::new(c, ndev, cut.as_ref())).collect();
 
-        loop {
-            let frontier_round = frontier && iterations > 0;
-            let reports =
-                run.point(&mut rt, &mut pointers, &mut retired, devices, avail, frontier_round);
-            let mut round = PointingResult::default();
-            let (mut occ_weighted, mut occ_weight, mut batches_skipped) = (0.0, 0.0, 0);
+    // Global device-resident arrays.
+    let mut pointers: Vec<u64> = vec![NONE_SENTINEL; n];
+    let mut mate: Vec<u64> = vec![NONE_SENTINEL; n];
+    let mut retired: Vec<u8> = vec![0; n];
+    let Scratch { avail, devices, comm_staging, .. } = &mut scratch;
+    let total_directed = g.num_directed_edges() as u64;
+    let mut iterations = 0usize;
+
+    loop {
+        let frontier_round = frontier && iterations > 0;
+        let reports =
+            run.point(&mut lanes, &mut pointers, &mut retired, devices, avail, frontier_round);
+        let mut round = PointingResult::default();
+        let mut batches_skipped = 0;
+        for r in &reports {
+            round.merge(&r.res);
+            batches_skipped += r.batches_skipped;
+        }
+        for Lane { rt, optimized, .. } in &mut lanes {
             for r in &reports {
-                round.merge(&r.res);
-                occ_weighted += r.occ_weighted;
-                occ_weight += r.occ_weight;
-                prefetch_hidden += r.prefetch_hidden;
-                prefetch_exposed += r.prefetch_exposed;
-                batches_skipped += r.batches_skipped;
                 rt.counter_add(names::KERNEL_VERTICES_RETIRED, r.res.vertices_retired);
             }
             rt.counter_add(names::KERNEL_POINTERS_SET, round.pointers_set);
-            if optimized || streaming {
+            // The opt.* skip counters are emitted whenever a layer that
+            // can skip work is on; batch skips also when they fired
+            // anyway (empty batches of an oversized plan).
+            if *optimized || streaming {
                 rt.counter_add(names::OPT_EDGES_SKIPPED, round.edges_skipped);
             }
-            if optimized || batches_skipped > 0 {
+            if *optimized || batches_skipped > 0 {
                 rt.counter_add(names::OPT_BATCHES_SKIPPED, batches_skipped);
             }
-            if round.pointers_set == 0 {
-                break; // no available edges anywhere: matching is maximal
-            }
-            iterations += 1;
+        }
+        if round.pointers_set == 0 {
+            break; // no available edges anywhere: matching is maximal
+        }
+        iterations += 1;
 
-            run.reduce.pointers(&mut rt, devices, comm_staging, round.stats.vertices_processed, n);
+        let written = round.stats.vertices_processed;
+        for lane in &mut lanes {
+            lane.reduce.pointers(&mut lane.rt, &lane.chunks, comm_staging, written, n);
+        }
 
-            let (mstats, new_matches) = set_mates(&pointers, &mut mate, avail);
+        let (mstats, new_matches) = set_mates(&pointers, &mut mate, avail);
+        let evicted = streaming.then(|| run.evict(devices, avail, &retired));
+        for lane in &mut lanes {
+            let rt = &mut lane.rt;
             rt.counter_add(names::MATCHING_EDGES_COMMITTED, new_matches);
             rt.global_kernel("setmates", &mstats);
-
-            if streaming {
-                rt.counter_add(names::MEM_EVICTIONS, run.evict(devices, avail, &retired));
+            if let Some(evicted) = evicted {
+                rt.counter_add(names::MEM_EVICTIONS, evicted);
             }
-
-            run.reduce.mates(&mut rt, new_matches, n);
+            lane.reduce.mates(rt, new_matches, n);
 
             // Runtime-level livelock invariant: an iteration that set
             // pointers must commit at least one edge (two locally-dominant
@@ -745,7 +892,8 @@ impl LdGpu {
             rt.assert_progress(new_matches, "SETMATES after a pointer-setting round");
 
             if collect_iterations {
-                let occ = if occ_weight > 0.0 { occ_weighted / occ_weight } else { 0.0 };
+                let occ =
+                    if lane.occ_weight > 0.0 { lane.occ_weighted / lane.occ_weight } else { 0.0 };
                 rt.push_iteration(IterationRecord::from_stats(
                     iterations - 1,
                     &round.stats,
@@ -754,38 +902,43 @@ impl LdGpu {
                     new_matches,
                 ));
             }
+        }
 
-            // An empty frontier is a fixed point: any remaining available
-            // edge's maximum would be a mutual pair and would already have
-            // been committed.
-            if frontier {
-                let size = run.next_frontier(devices, &pointers, avail);
-                rt.observe(names::OPT_FRONTIER_SIZE, size as f64);
-                if size == 0 {
-                    break;
-                }
+        // An empty frontier is a fixed point: any remaining available
+        // edge's maximum would be a mutual pair and would already have
+        // been committed.
+        if frontier {
+            let size = run.next_frontier(devices, &pointers, avail);
+            for lane in &mut lanes {
+                lane.rt.observe(names::OPT_FRONTIER_SIZE, size as f64);
             }
-
-            // Auto-tuner probes: the partial run's simulated time is the
-            // probe's score; the matching is simply not maximal yet.
-            if probe_iterations.is_some_and(|k| iterations >= k) {
+            if size == 0 {
                 break;
             }
         }
 
+        // Auto-tuner probes: the partial run's simulated time is the
+        // probe's score; the matching is simply not maximal yet.
+        if probe_iterations.is_some_and(|k| iterations >= k) {
+            break;
+        }
+    }
+
+    let mate: Vec<VertexId> =
+        mate.iter().map(|&v| if v == NONE_SENTINEL { UNMATCHED } else { v as VertexId }).collect();
+    let outputs = lanes.into_iter().map(|mut lane| {
+        let rt = &mut lane.rt;
         rt.counter_add(names::DRIVER_ITERATIONS, iterations as u64);
         rt.gauge_set(names::DRIVER_BATCHES, nbatches as f64);
         if let Pointing::Bands { plans, .. } = &run.pointing {
             let high_water = plans.iter().map(|p| p.resident_bytes).max().unwrap_or(0);
             rt.gauge_set(names::MEM_RESIDENT_BYTES, high_water as f64);
-            rt.gauge_set(names::COPY_PREFETCH_HIDDEN_TIME, prefetch_hidden);
-            rt.gauge_set(names::COPY_PREFETCH_EXPOSED_TIME, prefetch_exposed);
+            rt.gauge_set(names::COPY_PREFETCH_HIDDEN_TIME, lane.prefetch_hidden);
+            rt.gauge_set(names::COPY_PREFETCH_EXPOSED_TIME, lane.prefetch_exposed);
         }
-        let fin = rt.finish();
-
-        let mate = mate.iter().map(|&v| if v == NONE_SENTINEL { UNMATCHED } else { v as VertexId });
-        Ok(LdGpuOutput {
-            matching: Matching::from_mate(mate.collect()),
+        let fin = lane.rt.finish();
+        LdGpuOutput {
+            matching: Matching::from_mate(mate.clone()),
             iterations,
             sim_time: fin.sim_time,
             profile: fin.profile,
@@ -793,8 +946,9 @@ impl LdGpu {
             batches: nbatches,
             trace: fin.trace,
             metrics: fin.metrics,
-        })
-    }
+        }
+    });
+    Ok(outputs.collect())
 }
 
 #[cfg(test)]
@@ -1049,6 +1203,99 @@ mod indexed_tests {
                 }
             }
         }
+    }
+
+    /// Everything a run reports, as comparable bits.
+    fn fingerprint(o: &LdGpuOutput) -> (Vec<VertexId>, u64, RunProfile, String, String) {
+        let trace = chrome_trace_json(o.trace.as_ref().expect("trace requested"));
+        (
+            o.matching.mate_array().to_vec(),
+            o.sim_time.to_bits(),
+            o.profile.clone(),
+            o.metrics.to_json().to_string_compact(),
+            trace.to_string_compact(),
+        )
+    }
+
+    #[test]
+    fn every_lane_equals_the_one_lane_run_of_its_config() {
+        let g = tied_graph();
+        let index = SortedAdjacency::build(&g);
+        let dgx = Platform::dgx_a100();
+        let tight = memory::device_footprint_bytes(
+            &batch::make_batches(&g, &Partition::edge_balanced(&g, 2).parts[0], 1),
+            g.num_vertices(),
+        );
+        let classes = [
+            ("full scan", LdGpuConfig::new(dgx.clone()).devices(4)),
+            ("re-streamed batches", LdGpuConfig::new(dgx.clone()).devices(2).batches(4)),
+            (
+                "sorted frontier over batches",
+                LdGpuConfig::new(dgx.clone())
+                    .devices(3)
+                    .batches(5)
+                    .with_sorted_index(true)
+                    .with_frontier(true),
+            ),
+            (
+                "retirement off",
+                LdGpuConfig { retire_exhausted: false, ..LdGpuConfig::new(dgx.clone()).devices(2) },
+            ),
+            (
+                "streamed bands",
+                LdGpuConfig::new(dgx.clone())
+                    .devices(2)
+                    .with_streaming(true)
+                    .with_mem_budget(tight / 3)
+                    .with_frontier(true),
+            ),
+            (
+                "topology-aware cluster",
+                LdGpuConfig::new(Platform::dgx_a100_cluster(2))
+                    .devices(16)
+                    .with_topology_placement(true),
+            ),
+            (
+                "probe",
+                LdGpuConfig { probe_iterations: Some(2), ..LdGpuConfig::new(dgx).devices(2) },
+            ),
+        ];
+        for (what, class) in classes {
+            let lanes: Vec<LdGpuConfig> =
+                [(false, false), (true, false), (false, true), (true, true)]
+                    .into_iter()
+                    .map(|(sparse, overlap)| {
+                        class
+                            .clone()
+                            .with_sparse_collectives(sparse)
+                            .with_overlap(overlap)
+                            .with_trace()
+                    })
+                    .collect();
+            let outs = run_lanes(&g, Some(&index), &lanes).unwrap();
+            assert_eq!(outs.len(), lanes.len());
+            for (cfg, got) in lanes.iter().zip(&outs) {
+                let want = LdGpu::new(cfg.clone()).try_run(&g).unwrap();
+                let lane =
+                    format!("{what}, sparse {}, overlap {}", cfg.sparse_collectives, cfg.overlap);
+                assert!(fingerprint(got) == fingerprint(&want), "{lane}");
+                assert_eq!(
+                    (got.iterations, got.batches),
+                    (want.iterations, want.batches),
+                    "{lane}"
+                );
+            }
+            // The lanes bill differently: one execution, four timelines.
+            assert!(outs.iter().any(|o| o.sim_time != outs[0].sim_time), "{what}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "lanes of one execution differ")]
+    fn lanes_of_two_classes_are_refused() {
+        let g = tied_graph();
+        let cfg = LdGpuConfig::new(Platform::dgx_a100()).devices(2);
+        let _ = run_lanes(&g, None, &[cfg.clone(), cfg.batches(3)]);
     }
 
     #[test]

@@ -41,9 +41,6 @@ pub(crate) struct DeviceScratch {
     /// Frontier worklist: ascending vertex ids inside the device's part,
     /// rebuilt in place each iteration.
     pub(crate) frontier: Vec<VertexId>,
-    /// Overlap staging: one entry per slice of the pointer reduction
-    /// this device produced.
-    pub(crate) chunks: Vec<CommChunk>,
     /// Streaming band worklists: the current band and the next.
     pub(crate) work: Vec<VertexId>,
     pub(crate) next: Vec<VertexId>,

@@ -44,6 +44,19 @@ impl CsrGraph {
         g
     }
 
+    /// Assemble a graph from raw CSR arrays read from outside the
+    /// program, returning [`CsrGraph::validate`]'s description of the
+    /// first violated invariant instead of a graph.
+    pub(crate) fn try_from_raw(
+        offsets: Vec<u64>,
+        adj: Vec<VertexId>,
+        weights: Vec<Weight>,
+    ) -> Result<Self, String> {
+        let g = CsrGraph { offsets, adj, weights };
+        g.validate()?;
+        Ok(g)
+    }
+
     /// The empty graph on `n` vertices.
     pub fn empty(n: usize) -> Self {
         CsrGraph { offsets: vec![0; n + 1], adj: Vec::new(), weights: Vec::new() }
@@ -169,20 +182,24 @@ impl CsrGraph {
     /// Check all structural invariants; returns a description of the first
     /// violation.
     pub fn validate(&self) -> Result<(), String> {
-        let n = self.num_vertices();
+        let Some(n) = self.offsets.len().checked_sub(1) else {
+            return Err("empty offset array".into());
+        };
         if self.offsets[0] != 0 {
             return Err("offsets[0] != 0".into());
         }
         if self.adj.len() != self.weights.len() {
             return Err("adj/weights length mismatch".into());
         }
-        if *self.offsets.last().unwrap() != self.adj.len() as u64 {
+        if self.offsets[n] != self.adj.len() as u64 {
             return Err("offsets[n] != adj.len()".into());
         }
+        // Monotone offsets ending at `adj.len()` keep every slice below in
+        // range, including the reverse-edge lookups into later vertices.
+        if let Some(v) = self.offsets.windows(2).position(|w| w[0] > w[1]) {
+            return Err(format!("offsets decrease at vertex {v}"));
+        }
         for v in 0..n {
-            if self.offsets[v] > self.offsets[v + 1] {
-                return Err(format!("offsets decrease at vertex {v}"));
-            }
             let nbrs = self.neighbors(v as VertexId);
             for win in nbrs.windows(2) {
                 if win[0] >= win[1] {
@@ -300,6 +317,17 @@ mod tests {
         assert_eq!(g.max_degree(), 0);
         assert_eq!(g.avg_degree(), 0.0);
         assert_eq!(g.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_bad_offsets_without_slicing() {
+        // Vertex 0's list would end past the one stored edge; the offsets
+        // fall back to 1 at vertex 1, so `offsets[n]` alone looks fine.
+        let g = CsrGraph { offsets: vec![0, 5, 1], adj: vec![1], weights: vec![1.0] };
+        assert_eq!(g.validate(), Err("offsets decrease at vertex 1".into()));
+        assert!(CsrGraph::try_from_raw(vec![0, 5, 1], vec![1], vec![1.0]).is_err());
+        let none = CsrGraph { offsets: Vec::new(), adj: Vec::new(), weights: Vec::new() };
+        assert_eq!(none.validate(), Err("empty offset array".into()));
     }
 
     #[test]

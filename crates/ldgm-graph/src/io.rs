@@ -501,7 +501,36 @@ pub fn write_bin<W: Write>(g: &CsrGraph, writer: W) -> io::Result<()> {
     w.flush()
 }
 
-/// Read a graph from the binary CSR cache format.
+/// Bytes [`read_bin`] reads per step. Each array grows only as its
+/// bytes arrive, so a header claiming more than the file holds ends in
+/// an `UnexpectedEof` after at most one step past the real data.
+const BIN_STEP: usize = 1 << 20;
+
+/// Read `count` little-endian `N`-byte values through `decode`, in steps
+/// of at most [`BIN_STEP`] bytes.
+fn read_array<R: Read, T, const N: usize>(
+    r: &mut R,
+    count: u64,
+    decode: fn([u8; N]) -> T,
+) -> io::Result<Vec<T>> {
+    let per_step = (BIN_STEP / N) as u64;
+    let mut buf = vec![0u8; N * count.min(per_step) as usize];
+    let mut out = Vec::new();
+    let mut left = count;
+    while left > 0 {
+        let bytes = &mut buf[..N * left.min(per_step) as usize];
+        r.read_exact(bytes)?;
+        out.reserve(bytes.len() / N);
+        out.extend(bytes.chunks_exact(N).map(|c| decode(c.try_into().expect("N-byte chunk"))));
+        left -= (bytes.len() / N) as u64;
+    }
+    Ok(out)
+}
+
+/// Read a graph from the binary CSR cache format. A header whose vertex
+/// count exceeds the 32-bit id space is refused, and no array is sized
+/// from the header before its bytes arrive, so a hostile header ends in
+/// an error, never in an allocation of the claimed size.
 pub fn read_bin<R: Read>(reader: R) -> Result<CsrGraph, IoError> {
     let mut r = BufReader::new(reader);
     let mut magic = [0u8; 8];
@@ -511,28 +540,17 @@ pub fn read_bin<R: Read>(reader: R) -> Result<CsrGraph, IoError> {
     }
     let mut buf8 = [0u8; 8];
     r.read_exact(&mut buf8)?;
-    let n = u64::from_le_bytes(buf8) as usize;
+    let n = u64::from_le_bytes(buf8);
     r.read_exact(&mut buf8)?;
-    let m2 = u64::from_le_bytes(buf8) as usize;
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        r.read_exact(&mut buf8)?;
-        offsets.push(u64::from_le_bytes(buf8));
+    let m2 = u64::from_le_bytes(buf8);
+    if n > VertexId::MAX as u64 {
+        let msg = format!("{n} vertices exceed the 32-bit vertex id space");
+        return Err(IoError::Parse(msg, 0));
     }
-    let mut adj = Vec::with_capacity(m2);
-    let mut buf4 = [0u8; 4];
-    for _ in 0..m2 {
-        r.read_exact(&mut buf4)?;
-        adj.push(u32::from_le_bytes(buf4));
-    }
-    let mut weights = Vec::with_capacity(m2);
-    for _ in 0..m2 {
-        r.read_exact(&mut buf8)?;
-        weights.push(f64::from_le_bytes(buf8));
-    }
-    let g = CsrGraph::from_raw(offsets, adj, weights);
-    g.validate().map_err(|e| IoError::Parse(e, 0))?;
-    Ok(g)
+    let offsets = read_array(&mut r, n + 1, u64::from_le_bytes)?;
+    let adj = read_array(&mut r, m2, u32::from_le_bytes)?;
+    let weights = read_array(&mut r, m2, f64::from_le_bytes)?;
+    CsrGraph::try_from_raw(offsets, adj, weights).map_err(|e| IoError::Parse(e, 0))
 }
 
 #[cfg(test)]
@@ -625,6 +643,49 @@ mod tests {
     #[test]
     fn bin_rejects_garbage() {
         assert!(read_bin(&b"NOTAGRAPH"[..]).is_err());
+    }
+
+    /// A binary cache whose header claims `n` vertices and `m2` stored
+    /// edges, followed by `body`.
+    fn bin_with_header(n: u64, m2: u64, body: &[u8]) -> Vec<u8> {
+        let mut buf = BIN_MAGIC.to_vec();
+        buf.extend(n.to_le_bytes());
+        buf.extend(m2.to_le_bytes());
+        buf.extend(body);
+        buf
+    }
+
+    #[test]
+    fn bin_header_with_huge_vertex_count_is_an_error() {
+        let buf = bin_with_header(1 << 40, 0, &[0; 64]);
+        match read_bin(&buf[..]) {
+            Err(IoError::Parse(msg, _)) => assert!(msg.contains("vertex id space"), "{msg}"),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+        assert!(read_bin(&bin_with_header(u64::MAX, 0, &[])[..]).is_err());
+    }
+
+    #[test]
+    fn bin_header_with_huge_edge_count_is_an_error() {
+        // A real one-edge graph's offsets, then a header that claims 2^40
+        // stored edges: reading stops at the end of the bytes.
+        let offsets: Vec<u8> = [0u64, 1, 2].iter().flat_map(|o| o.to_le_bytes()).collect();
+        let buf = bin_with_header(2, 1 << 40, &offsets);
+        match read_bin(&buf[..]) {
+            Err(IoError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+            other => panic!("expected an i/o error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn bin_with_decreasing_offsets_is_an_error() {
+        let mut body: Vec<u8> = [0u64, 5, 1].iter().flat_map(|o| o.to_le_bytes()).collect();
+        body.extend(1u32.to_le_bytes());
+        body.extend(1.0f64.to_le_bytes());
+        match read_bin(&bin_with_header(2, 1, &body)[..]) {
+            Err(IoError::Parse(msg, _)) => assert!(msg.contains("offsets decrease"), "{msg}"),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
     }
 
     /// A three-line real general file with `size_line` as its sizes.
