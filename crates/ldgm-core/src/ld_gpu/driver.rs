@@ -747,12 +747,12 @@ impl LdGpu {
         index: Option<&SortedAdjacency>,
     ) -> Result<LdGpuOutput, LdGpuError> {
         let mut outs = run_lanes(g, index, std::slice::from_ref(&self.cfg))?;
-        Ok(outs.pop().expect("one output per lane"))
+        Ok(outs.next().expect("one output per lane"))
     }
 }
 
 /// Run one execution on `g` and bill it on one lane per config of
-/// `cfgs`, returning one output per config, in order. Each output equals
+/// `cfgs`, yielding one output per config, in order. Each output equals
 /// what a run of its config alone returns, bit for bit.
 ///
 /// The configs must share an [`LdGpuConfig::execution_class`]: they may
@@ -777,7 +777,7 @@ pub(crate) fn run_lanes(
     g: &CsrGraph,
     index: Option<&SortedAdjacency>,
     cfgs: &[LdGpuConfig],
-) -> Result<Vec<LdGpuOutput>, LdGpuError> {
+) -> Result<impl Iterator<Item = LdGpuOutput>, LdGpuError> {
     let cfg = cfgs.first().expect("an execution bills at least one lane");
     let class = cfg.execution_class();
     assert!(
@@ -924,21 +924,27 @@ pub(crate) fn run_lanes(
         }
     }
 
-    let mate: Vec<VertexId> =
-        mate.iter().map(|&v| if v == NONE_SENTINEL { UNMATCHED } else { v as VertexId }).collect();
-    let outputs = lanes.into_iter().map(|mut lane| {
+    let resident_high_water = match &run.pointing {
+        Pointing::Bands { plans, .. } => {
+            Some(plans.iter().map(|p| p.resident_bytes).max().unwrap_or(0))
+        }
+        Pointing::Full | Pointing::Sorted(_) => None,
+    };
+    // Each lane's output is built when it is taken, so a caller that
+    // keeps only the lane's time holds one mate array copy at a time.
+    Ok(lanes.into_iter().map(move |mut lane| {
         let rt = &mut lane.rt;
         rt.counter_add(names::DRIVER_ITERATIONS, iterations as u64);
         rt.gauge_set(names::DRIVER_BATCHES, nbatches as f64);
-        if let Pointing::Bands { plans, .. } = &run.pointing {
-            let high_water = plans.iter().map(|p| p.resident_bytes).max().unwrap_or(0);
+        if let Some(high_water) = resident_high_water {
             rt.gauge_set(names::MEM_RESIDENT_BYTES, high_water as f64);
             rt.gauge_set(names::COPY_PREFETCH_HIDDEN_TIME, lane.prefetch_hidden);
             rt.gauge_set(names::COPY_PREFETCH_EXPOSED_TIME, lane.prefetch_exposed);
         }
         let fin = lane.rt.finish();
+        let mate = mate.iter().map(|&v| if v == NONE_SENTINEL { UNMATCHED } else { v as VertexId });
         LdGpuOutput {
-            matching: Matching::from_mate(mate.clone()),
+            matching: Matching::from_mate(mate.collect()),
             iterations,
             sim_time: fin.sim_time,
             profile: fin.profile,
@@ -947,8 +953,7 @@ pub(crate) fn run_lanes(
             trace: fin.trace,
             metrics: fin.metrics,
         }
-    });
-    Ok(outputs.collect())
+    }))
 }
 
 #[cfg(test)]
@@ -1272,7 +1277,7 @@ mod indexed_tests {
                             .with_trace()
                     })
                     .collect();
-            let outs = run_lanes(&g, Some(&index), &lanes).unwrap();
+            let outs: Vec<_> = run_lanes(&g, Some(&index), &lanes).unwrap().collect();
             assert_eq!(outs.len(), lanes.len());
             for (cfg, got) in lanes.iter().zip(&outs) {
                 let want = LdGpu::new(cfg.clone()).try_run(&g).unwrap();
