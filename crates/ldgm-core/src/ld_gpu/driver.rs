@@ -214,6 +214,9 @@ impl Reduce {
 /// array and kernel call; only what they bill differs.
 struct Lane {
     reduce: Reduce,
+    /// Bill the paper's full CSR scan ([`PointingResult::as_full_scan`])
+    /// of a batch walk that scanned through the sorted index.
+    full_scan: bool,
     /// Emit the opt.* skip counters: a layer that can skip work is on.
     optimized: bool,
     rt: SimRuntime,
@@ -247,6 +250,7 @@ impl Lane {
         }
         Lane {
             reduce: Reduce::of(cfg),
+            full_scan: !cfg.sorted_index && !cfg.streaming,
             optimized: cfg.is_optimized(),
             rt,
             chunks: vec![Vec::new(); ndev],
@@ -263,6 +267,7 @@ impl Lane {
 struct LaneDevice {
     ctx: DeviceCtx,
     reduce: Reduce,
+    full_scan: bool,
     chunks: Vec<CommChunk>,
     occ_weighted: f64,
     occ_weight: f64,
@@ -346,13 +351,14 @@ impl Run<'_> {
         let mut by_lane: Vec<_> = lanes
             .iter_mut()
             .map(|lane| {
-                let reduce = lane.reduce;
+                let (reduce, full_scan) = (lane.reduce, lane.full_scan);
                 let chunks = std::mem::take(&mut lane.chunks);
                 lane.rt.detach_devices().into_iter().zip(chunks).map(move |(ctx, mut chunks)| {
                     chunks.clear();
                     LaneDevice {
                         ctx,
                         reduce,
+                        full_scan,
                         chunks,
                         occ_weighted: 0.0,
                         occ_weight: 0.0,
@@ -483,13 +489,15 @@ impl Run<'_> {
                 self.retire,
             );
             let span = brange.num_vertices();
+            let full = res.as_full_scan();
             for lane in &mut task.lanes {
                 if restream {
                     let label = lane.ctx.label("copy", || format!("copy b{b}"));
                     lane.ctx.h2d_copy(b, memory::batch_buffer_bytes(brange), label);
                 }
+                let res = if lane.full_scan { &full } else { &res };
                 let label = lane.ctx.label("point", || format!("point b{b}"));
-                let launch = lane.launch(b, label, &res);
+                let launch = lane.launch(b, label, res);
                 // Overlap mode: the batch's slice of the pointer
                 // reduction is ready the moment its kernel retires.
                 if let Some(bytes) = lane.reduce.chunk_bytes(res.stats.vertices_processed, span) {
@@ -782,7 +790,7 @@ pub(crate) fn run_lanes(
     let class = cfg.execution_class();
     assert!(
         cfgs.iter().all(|c| c.execution_class() == class),
-        "lanes of one execution differ beyond sparse collectives and overlap"
+        "lanes of one execution differ beyond sparse collectives, overlap and the scan"
     );
     assert!(
         index.is_none_or(|idx| idx.num_vertices() == g.num_vertices()
@@ -792,7 +800,8 @@ pub(crate) fn run_lanes(
     let n = g.num_vertices();
     let ndev = cfg.devices.clamp(1, cfg.platform.max_devices);
     let partition = Partition::edge_balanced(g, ndev);
-    let index = || index.expect("sorted-index and streaming runs need the sorted index");
+    let needs_index = cfgs.iter().any(|c| c.sorted_index || c.streaming);
+    assert!(index.is_some() || !needs_index, "sorted-index and streaming runs need the sorted index");
     let mut scratch = Scratch::for_graph(g).with_devices(ndev);
 
     // Resolve the pointing source and its plan. Streaming reports the
@@ -804,10 +813,14 @@ pub(crate) fn run_lanes(
         for (dev, part) in scratch.devices.iter_mut().zip(&partition.parts) {
             dev.resident = vec![0; part.num_vertices()];
         }
-        (Pointing::Bands { index: index(), plans }, vec![Vec::new(); ndev], deepest.max(1))
+        let index = index.expect("checked above");
+        (Pointing::Bands { index, plans }, vec![Vec::new(); ndev], deepest.max(1))
     } else {
         let (count, plans) = plan_batches(g, &partition, cfg)?;
-        let pointing = if cfg.sorted_index { Pointing::Sorted(index()) } else { Pointing::Full };
+        // A full-scan lane bills its walk from the full tally of the
+        // sorted scan, so the walk goes through the index whenever
+        // there is one.
+        let pointing = index.map_or(Pointing::Full, Pointing::Sorted);
         (pointing, plans, count)
     };
     let spec = &cfg.platform.device;
@@ -848,7 +861,10 @@ pub(crate) fn run_lanes(
             round.merge(&r.res);
             batches_skipped += r.batches_skipped;
         }
-        for Lane { rt, optimized, .. } in &mut lanes {
+        // Full-scan lanes of a sorted walk bill the full tally.
+        let full_round = round.as_full_scan();
+        let billed = |full_scan: bool| if full_scan { &full_round } else { &round };
+        for Lane { rt, optimized, full_scan, .. } in &mut lanes {
             for r in &reports {
                 rt.counter_add(names::KERNEL_VERTICES_RETIRED, r.res.vertices_retired);
             }
@@ -857,7 +873,7 @@ pub(crate) fn run_lanes(
             // can skip work is on; batch skips also when they fired
             // anyway (empty batches of an oversized plan).
             if *optimized || streaming {
-                rt.counter_add(names::OPT_EDGES_SKIPPED, round.edges_skipped);
+                rt.counter_add(names::OPT_EDGES_SKIPPED, billed(*full_scan).edges_skipped);
             }
             if *optimized || batches_skipped > 0 {
                 rt.counter_add(names::OPT_BATCHES_SKIPPED, batches_skipped);
@@ -896,7 +912,7 @@ pub(crate) fn run_lanes(
                     if lane.occ_weight > 0.0 { lane.occ_weighted / lane.occ_weight } else { 0.0 };
                 rt.push_iteration(IterationRecord::from_stats(
                     iterations - 1,
-                    &round.stats,
+                    &billed(lane.full_scan).stats,
                     total_directed,
                     occ,
                     new_matches,
@@ -1235,12 +1251,8 @@ mod indexed_tests {
             ("full scan", LdGpuConfig::new(dgx.clone()).devices(4)),
             ("re-streamed batches", LdGpuConfig::new(dgx.clone()).devices(2).batches(4)),
             (
-                "sorted frontier over batches",
-                LdGpuConfig::new(dgx.clone())
-                    .devices(3)
-                    .batches(5)
-                    .with_sorted_index(true)
-                    .with_frontier(true),
+                "frontier over batches",
+                LdGpuConfig::new(dgx.clone()).devices(3).batches(5).with_frontier(true),
             ),
             (
                 "retirement off",
@@ -1266,23 +1278,26 @@ mod indexed_tests {
             ),
         ];
         for (what, class) in classes {
-            let lanes: Vec<LdGpuConfig> =
-                [(false, false), (true, false), (false, true), (true, true)]
-                    .into_iter()
-                    .map(|(sparse, overlap)| {
-                        class
-                            .clone()
-                            .with_sparse_collectives(sparse)
-                            .with_overlap(overlap)
-                            .with_trace()
-                    })
-                    .collect();
+            // Every (scan, sparse, overlap) lane, sorted scans interleaved
+            // with full scans.
+            let lanes: Vec<LdGpuConfig> = (0..8u32)
+                .map(|bits| {
+                    class
+                        .clone()
+                        .with_sorted_index(bits & 1 != 0)
+                        .with_sparse_collectives(bits & 2 != 0)
+                        .with_overlap(bits & 4 != 0)
+                        .with_trace()
+                })
+                .collect();
             let outs: Vec<_> = run_lanes(&g, Some(&index), &lanes).unwrap().collect();
             assert_eq!(outs.len(), lanes.len());
             for (cfg, got) in lanes.iter().zip(&outs) {
                 let want = LdGpu::new(cfg.clone()).try_run(&g).unwrap();
-                let lane =
-                    format!("{what}, sparse {}, overlap {}", cfg.sparse_collectives, cfg.overlap);
+                let lane = format!(
+                    "{what}, sorted {}, sparse {}, overlap {}",
+                    cfg.sorted_index, cfg.sparse_collectives, cfg.overlap
+                );
                 assert!(fingerprint(got) == fingerprint(&want), "{lane}");
                 assert_eq!(
                     (got.iterations, got.batches),
@@ -1290,8 +1305,14 @@ mod indexed_tests {
                     "{lane}"
                 );
             }
-            // The lanes bill differently: one execution, four timelines.
+            // The lanes bill differently: one execution, eight timelines.
             assert!(outs.iter().any(|o| o.sim_time != outs[0].sim_time), "{what}");
+            if !class.streaming {
+                // The scan is billed per lane: full and sorted scans of
+                // one walk bill different slot counts.
+                let scanned = |o: &LdGpuOutput| o.metrics.counter(names::KERNEL_EDGES_SCANNED);
+                assert!(scanned(&outs[1]) < scanned(&outs[0]), "{what}");
+            }
         }
     }
 

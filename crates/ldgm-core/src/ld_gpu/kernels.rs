@@ -54,20 +54,35 @@ pub struct PointingResult {
     /// Edge slots skipped by the sorted-index early exit, relative to a
     /// full adjacency scan (0 for the default kernel).
     pub edges_skipped: u64,
+    /// What the paper's full CSR scan of the same vertices bills: every
+    /// processed vertex reads its whole list, so its slots are its
+    /// degree. Pointers and retirements are the same either way, so a
+    /// sorted-scan launch bills full-scan lanes from this tally. Equal to
+    /// `stats` for the full-scan kernel; band launches bill no full-scan
+    /// lane.
+    pub full: KernelStats,
 }
 
 impl PointingResult {
     /// Fold another launch's result into this one.
     pub fn merge(&mut self, other: &PointingResult) {
         self.stats.merge(&other.stats);
+        self.full.merge(&other.full);
         self.pointers_set += other.pointers_set;
         self.vertices_retired += other.vertices_retired;
         self.edges_skipped += other.edges_skipped;
     }
 
+    /// The result a launch of the full-scan kernel over the same vertices
+    /// returns: the full tally, and no skipped slots.
+    pub fn as_full_scan(&self) -> PointingResult {
+        PointingResult { stats: self.full, edges_skipped: 0, ..*self }
+    }
+
     /// Bill a compacted launch's worklist reads: 4 B per entry.
     fn with_worklist_reads(mut self) -> Self {
         self.stats.bytes_read += 4 * self.stats.vertices;
+        self.full.bytes_read += 4 * self.full.vertices;
         self
     }
 }
@@ -164,12 +179,15 @@ enum Found {
 /// One vertex's scan: `(found, edges_scanned, waves, edges_skipped)`.
 type Scan = (Found, u64, u64, u64);
 
-/// One warp's running tally over the vertices it scans.
+/// One warp's running tally over the vertices it scans, and the tally a
+/// full scan of the same vertices would bill (`full_edges`, `full_waves`).
 struct Warp {
     r: PointingResult,
     processed: u64,
     edges: u64,
     waves: u64,
+    full_edges: u64,
+    full_waves: u64,
 }
 
 impl Warp {
@@ -177,7 +195,14 @@ impl Warp {
     fn new(vertices: usize) -> Self {
         let stats =
             KernelStats { warps_launched: 1, vertices: vertices as u64, ..Default::default() };
-        Warp { r: PointingResult { stats, ..Default::default() }, processed: 0, edges: 0, waves: 0 }
+        Warp {
+            r: PointingResult { stats, full: stats, ..Default::default() },
+            processed: 0,
+            edges: 0,
+            waves: 0,
+            full_edges: 0,
+            full_waves: 0,
+        }
     }
 
     /// Account one live vertex's scan, then write its pointer, or retire
@@ -189,6 +214,10 @@ impl Warp {
         self.edges += edges;
         self.waves += waves;
         self.r.edges_skipped += skipped;
+        // A full scan reads the whole list: the slots this scan read
+        // plus the ones it skipped.
+        self.full_edges += edges + skipped;
+        self.full_waves += soa::waves(edges + skipped);
         match found {
             Found::Target(v) => {
                 *ptr = v as u64;
@@ -205,27 +234,32 @@ impl Warp {
         }
     }
 
-    /// Close out the warp's [`KernelStats`] with the shared byte/wave
-    /// model of the pointing kernels.
+    /// Close out the warp's [`KernelStats`], both tallies, with the
+    /// shared byte/wave model of the pointing kernels.
     fn finish(mut self) -> PointingResult {
-        let (processed, edges, waves) = (self.processed, self.edges, self.waves);
-        let stats = &mut self.r.stats;
-        stats.vertices_processed = processed;
-        stats.edges_scanned = edges;
-        stats.edge_waves = waves;
-        stats.warps_active = (processed > 0) as u64;
-        stats.max_warp_waves = waves;
-        stats.max_warp_vertices = processed;
-        stats.warp_edges_sumsq = (edges as f64) * (edges as f64);
-        // Bytes at transaction granularity: CSR offsets (16 B per
-        // vertex), adjacency id + weight streamed in full 32-wide waves (a
-        // warp load fetches whole lines even for short lists), and one
-        // 32 B sector per mate gather (uncoalesced indirect access); one
-        // pointer write per processed vertex.
-        stats.bytes_read = stats.vertices * 8 + processed * 16 + waves * 32 * (8 + 8) + edges * 32;
-        stats.bytes_written = processed * 8;
+        let processed = self.processed;
+        bill_warp(&mut self.r.stats, processed, self.edges, self.waves);
+        bill_warp(&mut self.r.full, processed, self.full_edges, self.full_waves);
         self.r
     }
+}
+
+/// Fill a one-warp launch's `stats` from what the warp scanned.
+fn bill_warp(stats: &mut KernelStats, processed: u64, edges: u64, waves: u64) {
+    stats.vertices_processed = processed;
+    stats.edges_scanned = edges;
+    stats.edge_waves = waves;
+    stats.warps_active = (processed > 0) as u64;
+    stats.max_warp_waves = waves;
+    stats.max_warp_vertices = processed;
+    stats.warp_edges_sumsq = (edges as f64) * (edges as f64);
+    // Bytes at transaction granularity: CSR offsets (16 B per vertex),
+    // adjacency id + weight streamed in full 32-wide waves (a warp load
+    // fetches whole lines even for short lists), and one 32 B sector per
+    // mate gather (uncoalesced indirect access); one pointer write per
+    // processed vertex.
+    stats.bytes_read = stats.vertices * 8 + processed * 16 + waves * 32 * (8 + 8) + edges * 32;
+    stats.bytes_written = processed * 8;
 }
 
 /// The default full-scan packed-key argmax over one adjacency slice.

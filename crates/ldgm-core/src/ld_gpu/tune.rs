@@ -20,14 +20,16 @@
 //! the answer, only its cost.
 //!
 //! **One execution per class.** Sparse collectives and overlap change
-//! only how the driver reduces and bills, never a kernel's inputs, so
-//! candidates that differ only in those two knobs share an execution
-//! class (`LdGpuConfig::execution_class`). The search runs the host
-//! kernels once per class and bills every candidate of the class as a
-//! lane of that one execution (the driver's `run_lanes`), which reports
-//! for each lane exactly what a run of its config alone reports. The
-//! default grid's 64 probes take 16 executions, and the full runs (base
-//! plus shortlist) are grouped the same way.
+//! only how the driver reduces and bills, and the scan (sorted early
+//! exit or full list) only how many slots each warp bills, never a
+//! pointer, so candidates that differ only in those three knobs share an
+//! execution class (`LdGpuConfig::execution_class`). The search runs the
+//! host kernels once per class, scanning through the sorted index, and
+//! bills every candidate of the class as a lane of that one execution
+//! (the driver's `run_lanes`), which reports for each lane exactly what a
+//! run of its config alone reports. The default grid's 64 probes take 8
+//! executions, and the full runs (base plus shortlist) are grouped the
+//! same way.
 //! [`TuneReport::executions`] counts them.
 //!
 //! The search is fully deterministic: a fixed candidate order, exact
@@ -418,7 +420,7 @@ mod tests {
             r.shortlist.iter().map(|p| (p.knobs.clone(), p.probe_time.to_bits())).collect()
         };
         assert_eq!(records(&got), records(&want), "{what}");
-        // Four candidates (sparse × overlap) share each execution.
+        // Eight candidates (scan × sparse × overlap) share each execution.
         assert!(0 < got.executions && got.executions < want.executions, "{what}: {got:?}");
         Ok(got)
     }
