@@ -177,16 +177,18 @@ impl LdGpuConfig {
     }
 
     /// The config with its billing-lane knobs (`sparse_collectives`,
-    /// `overlap`, `sorted_index`) cleared. Configs of one class set the
-    /// same pointers in every launch: they differ only in how collectives
-    /// are billed and in how many slots each scan bills (the sorted
-    /// scan's early exit, or the full list), so one execution serves
-    /// them all as lanes.
+    /// `overlap`, `sorted_index`, `batches`) cleared. Configs of one class
+    /// set the same pointers in every iteration: they differ only in how
+    /// collectives are billed, in how many slots each scan bills (the
+    /// sorted scan's early exit, or the full list) and in how the
+    /// scanned vertices are grouped into batch launches, so one execution
+    /// serves them all as lanes.
     pub(crate) fn execution_class(&self) -> LdGpuConfig {
         LdGpuConfig {
             sparse_collectives: false,
             overlap: false,
             sorted_index: false,
+            batches: None,
             ..self.clone()
         }
     }

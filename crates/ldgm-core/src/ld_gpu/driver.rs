@@ -74,7 +74,8 @@ use ldgm_part::{batch, memory, plan_substreams, Partition, SubstreamPlan, Vertex
 
 use super::config::{LdGpuConfig, LdGpuError};
 use super::kernels::{
-    set_mates, set_pointers_band, set_pointers_opt, PointingResult, PointingWork,
+    bill_launch, set_mates, set_pointers_band, set_pointers_logged, PointingResult, PointingWork,
+    UNSCANNED,
 };
 use super::scratch::{DeviceScratch, Scratch};
 use crate::matching::{Matching, UNMATCHED};
@@ -209,14 +210,27 @@ impl Reduce {
     }
 }
 
-/// One billing lane of an execution: one config's reduction mode, billed
-/// on a runtime of its own. The lanes of an execution share every host
-/// array and kernel call; only what they bill differs.
+/// How a lane's pointing phase is billed: its scan and its batch plan.
+/// Every walk of an execution forms its own batches and warps from the
+/// one slot log the kernels wrote ([`bill_launch`]).
+struct Walk {
+    /// Bill whole lists (the paper's CSR scan), not the logged early
+    /// exits of the sorted scan.
+    full_scan: bool,
+    /// Batches per device, as reported (streaming: the deepest band
+    /// count).
+    count: usize,
+    /// Per-device batch plans (empty under [`Pointing::Bands`]).
+    plans: Vec<Vec<VertexRange>>,
+}
+
+/// One billing lane of an execution: one config's walk and reduction
+/// mode, billed on a runtime of its own. The lanes of an execution share
+/// every host array and kernel call; only what they bill differs.
 struct Lane {
     reduce: Reduce,
-    /// Bill the paper's full CSR scan ([`PointingResult::as_full_scan`])
-    /// of a batch walk that scanned through the sorted index.
-    full_scan: bool,
+    /// Index of the lane's [`Walk`].
+    walk: usize,
     /// Emit the opt.* skip counters: a layer that can skip work is on.
     optimized: bool,
     rt: SimRuntime,
@@ -233,9 +247,9 @@ struct Lane {
 }
 
 impl Lane {
-    /// A fresh lane for `cfg` on `ndev` devices, with the cluster
-    /// placement's `cut` (if any) billed into its collectives.
-    fn new(cfg: &LdGpuConfig, ndev: usize, cut: Option<&CutStats>) -> Self {
+    /// A fresh lane for `cfg` on `ndev` devices, billing `walk`, with the
+    /// cluster placement's `cut` (if any) billed into its collectives.
+    fn new(cfg: &LdGpuConfig, ndev: usize, cut: Option<&CutStats>, walk: usize) -> Self {
         let mut rt = SimRuntime::new(&cfg.platform, ndev)
             .with_kernel_overhead(cfg.kernel_overhead)
             .with_trace(cfg.collect_trace);
@@ -250,7 +264,7 @@ impl Lane {
         }
         Lane {
             reduce: Reduce::of(cfg),
-            full_scan: !cfg.sorted_index && !cfg.streaming,
+            walk,
             optimized: cfg.is_optimized(),
             rt,
             chunks: vec![Vec::new(); ndev],
@@ -267,7 +281,7 @@ impl Lane {
 struct LaneDevice {
     ctx: DeviceCtx,
     reduce: Reduce,
-    full_scan: bool,
+    walk: usize,
     chunks: Vec<CommChunk>,
     occ_weighted: f64,
     occ_weight: f64,
@@ -303,12 +317,25 @@ struct DeviceTask<'a> {
     lanes: Vec<LaneDevice>,
 }
 
-/// What a device's kernels computed in its pointing phase (the same on
-/// every lane).
-#[derive(Default)]
+/// What a device's pointing phase decided, the same on every lane
+/// (pointers set, vertices retired), and what each walk billed.
 struct DeviceReport {
+    decided: PointingResult,
+    walks: Vec<WalkReport>,
+}
+
+/// One walk's pointing phase on one device, or on all of them merged.
+#[derive(Clone, Copy, Default)]
+struct WalkReport {
     res: PointingResult,
     batches_skipped: u64,
+}
+
+impl WalkReport {
+    fn merge(&mut self, other: &WalkReport) {
+        self.res.merge(&other.res);
+        self.batches_skipped += other.batches_skipped;
+    }
 }
 
 /// The config resolved once per execution: everything the iteration
@@ -317,8 +344,7 @@ struct Run<'a> {
     g: &'a CsrGraph,
     parts: &'a [VertexRange],
     pointing: Pointing<'a>,
-    /// Per-device batch plans (empty under [`Pointing::Bands`]).
-    batches: Vec<Vec<VertexRange>>,
+    walks: Vec<Walk>,
     retire: bool,
     /// Resident warp slots of one device.
     slots: usize,
@@ -351,14 +377,14 @@ impl Run<'_> {
         let mut by_lane: Vec<_> = lanes
             .iter_mut()
             .map(|lane| {
-                let (reduce, full_scan) = (lane.reduce, lane.full_scan);
+                let (reduce, walk) = (lane.reduce, lane.walk);
                 let chunks = std::mem::take(&mut lane.chunks);
                 lane.rt.detach_devices().into_iter().zip(chunks).map(move |(ctx, mut chunks)| {
                     chunks.clear();
                     LaneDevice {
                         ctx,
                         reduce,
-                        full_scan,
+                        walk,
                         chunks,
                         occ_weighted: 0.0,
                         occ_weight: 0.0,
@@ -428,11 +454,14 @@ impl Run<'_> {
         reports
     }
 
-    /// One device's batch walk. With ≤ 2 batches both stay resident in
-    /// the stream buffers: their initial load is the host-device
-    /// partition transfer the paper excludes from timings. Beyond two
-    /// batches the buffers are re-streamed every iteration (billed), with
-    /// an explicit host sync per batch (paper §III-D).
+    /// One device's batch walks. The kernels run once over the device's
+    /// part (or its frontier), since the pointers they set do not depend
+    /// on the batch plan, and log each vertex's scan. Each walk then
+    /// bills its own batches from the log. With ≤ 2 batches both stay
+    /// resident in the stream buffers: their initial load is the
+    /// host-device partition transfer the paper excludes from timings.
+    /// Beyond two batches the buffers are re-streamed every iteration
+    /// (billed), with an explicit host sync per batch (paper §III-D).
     fn point_batches(
         &self,
         task: &mut DeviceTask<'_>,
@@ -440,77 +469,75 @@ impl Run<'_> {
         avail: &[u8],
         frontier_round: bool,
     ) -> DeviceReport {
-        let mut rep = DeviceReport::default();
-        let frontier = &task.bufs.frontier;
-        let batches = &self.batches[task.device];
-        let restream = batches.len() > 2;
-        for (b, brange) in batches.iter().enumerate() {
-            // An empty batch (more requested batches than partition
-            // vertices) has nothing to copy, launch or sync.
-            if brange.num_vertices() == 0 {
-                rep.batches_skipped += 1;
-                continue;
-            }
-            // Frontier rounds restrict the launch to the batch's slice of
-            // the device worklist; a batch with no frontier vertex is
-            // skipped outright (no copy, no launch, no sync).
-            let work = frontier_round.then(|| {
-                let lo = frontier.partition_point(|&u| u < brange.start);
-                let hi = frontier.partition_point(|&u| u < brange.end);
-                &frontier[lo..hi]
-            });
-            if work.is_some_and(|w| w.is_empty()) {
-                rep.batches_skipped += 1;
-                // Dense collectives still ship the untouched slice;
-                // nothing produces it this round, so it is ready at once.
-                for lane in &mut task.lanes {
-                    if lane.reduce == (Reduce::Chunked { sparse: false }) {
-                        let bytes = 8 * brange.num_vertices() as u64;
-                        lane.chunks.push(CommChunk { bytes, ready: 0.0 });
+        let DeviceScratch { frontier, log, .. } = &mut *task.bufs;
+        let part = task.part;
+        let work =
+            if frontier_round { PointingWork::Worklist(frontier) } else { PointingWork::Full };
+        let (pointers, retired) = (&mut *task.pointers, &mut *task.retired);
+        let decided =
+            set_pointers_logged(self.g, sorted, &part, work, avail, pointers, retired, log, self.retire);
+        let walks = self.walks.iter().enumerate();
+        let walks = walks.map(|(w, walk)| {
+            let mut rep = WalkReport::default();
+            let batches = &walk.plans[task.device];
+            let restream = batches.len() > 2;
+            for (b, brange) in batches.iter().enumerate() {
+                let lanes = task.lanes.iter_mut().filter(|lane| lane.walk == w);
+                // An empty batch (more requested batches than partition
+                // vertices) has nothing to copy, launch or sync.
+                if brange.num_vertices() == 0 {
+                    rep.batches_skipped += 1;
+                    continue;
+                }
+                // Frontier rounds restrict the launch to the batch's slice
+                // of the device worklist; a batch with no frontier vertex
+                // is skipped outright (no copy, no launch, no sync).
+                let work = frontier_round.then(|| {
+                    let lo = frontier.partition_point(|&u| u < brange.start);
+                    let hi = frontier.partition_point(|&u| u < brange.end);
+                    &frontier[lo..hi]
+                });
+                if work.is_some_and(|w| w.is_empty()) {
+                    rep.batches_skipped += 1;
+                    // Dense collectives still ship the untouched slice;
+                    // nothing produces it this round, so it is ready at once.
+                    for lane in lanes {
+                        if lane.reduce == (Reduce::Chunked { sparse: false }) {
+                            let bytes = 8 * brange.num_vertices() as u64;
+                            lane.chunks.push(CommChunk { bytes, ready: 0.0 });
+                        }
+                    }
+                    continue;
+                }
+                let (pw, vpw) = match work {
+                    Some(w) => (PointingWork::Worklist(w), self.worklist_vpw(w.len())),
+                    None => (PointingWork::Full, self.full_vpw),
+                };
+                let res = bill_launch(self.g, brange, pw, part.start, log, vpw, walk.full_scan);
+                let span = brange.num_vertices();
+                for lane in lanes {
+                    if restream {
+                        let label = lane.ctx.label("copy", || format!("copy b{b}"));
+                        lane.ctx.h2d_copy(b, memory::batch_buffer_bytes(brange), label);
+                    }
+                    let label = lane.ctx.label("point", || format!("point b{b}"));
+                    let launch = lane.launch(b, label, &res);
+                    // Overlap mode: the batch's slice of the pointer
+                    // reduction is ready the moment its kernel retires.
+                    let written = res.stats.vertices_processed;
+                    if let Some(bytes) = lane.reduce.chunk_bytes(written, span) {
+                        lane.chunks.push(CommChunk { bytes, ready: launch.end });
+                    }
+                    if restream {
+                        let label = lane.ctx.label("sync", || format!("sync b{b}"));
+                        lane.ctx.host_sync(label);
                     }
                 }
-                continue;
+                rep.res.merge(&res);
             }
-            let (pw, vpw) = match work {
-                Some(w) => (PointingWork::Worklist(w), self.worklist_vpw(w.len())),
-                None => (PointingWork::Full, self.full_vpw),
-            };
-            let lo = (brange.start - task.part.start) as usize;
-            let hi = (brange.end - task.part.start) as usize;
-            let res = set_pointers_opt(
-                self.g,
-                sorted,
-                brange,
-                pw,
-                avail,
-                &mut task.pointers[lo..hi],
-                &mut task.retired[lo..hi],
-                vpw,
-                self.retire,
-            );
-            let span = brange.num_vertices();
-            let full = res.as_full_scan();
-            for lane in &mut task.lanes {
-                if restream {
-                    let label = lane.ctx.label("copy", || format!("copy b{b}"));
-                    lane.ctx.h2d_copy(b, memory::batch_buffer_bytes(brange), label);
-                }
-                let res = if lane.full_scan { &full } else { &res };
-                let label = lane.ctx.label("point", || format!("point b{b}"));
-                let launch = lane.launch(b, label, res);
-                // Overlap mode: the batch's slice of the pointer
-                // reduction is ready the moment its kernel retires.
-                if let Some(bytes) = lane.reduce.chunk_bytes(res.stats.vertices_processed, span) {
-                    lane.chunks.push(CommChunk { bytes, ready: launch.end });
-                }
-                if restream {
-                    let label = lane.ctx.label("sync", || format!("sync b{b}"));
-                    lane.ctx.host_sync(label);
-                }
-            }
-            rep.res.merge(&res);
-        }
-        rep
+            rep
+        });
+        DeviceReport { decided, walks: walks.collect() }
     }
 
     /// One device's out-of-core walk: the rank bands of `plan` in
@@ -537,8 +564,8 @@ impl Run<'_> {
         avail: &[u8],
         frontier_round: bool,
     ) -> DeviceReport {
-        let mut rep = DeviceReport::default();
-        let DeviceScratch { frontier, work, next, resident } = &mut *task.bufs;
+        let mut rep = PointingResult::default();
+        let DeviceScratch { frontier, work, next, resident, .. } = &mut *task.bufs;
         let (g, part, layout) = (self.g, task.part, plan.layout);
         work.clear();
         // Iteration worklist: the frontier in frontier rounds, otherwise
@@ -599,18 +626,18 @@ impl Run<'_> {
                 }
                 *end = launch.end;
             }
-            rep.res.merge(&res);
+            rep.merge(&res);
             std::mem::swap(work, next);
         }
         // Overlap mode: the device's whole slice of the pointer
         // reduction is ready when its last band kernel retires.
-        let written = rep.res.stats.vertices_processed;
+        let written = rep.stats.vertices_processed;
         for (lane, ready) in task.lanes.iter_mut().zip(last_end) {
             if let Some(bytes) = lane.reduce.chunk_bytes(written, part.num_vertices()) {
                 lane.chunks.push(CommChunk { bytes, ready });
             }
         }
-        rep
+        DeviceReport { decided: rep, walks: vec![WalkReport { res: rep, batches_skipped: 0 }] }
     }
 
     /// Streaming residency: vertices that just left the live set
@@ -755,27 +782,35 @@ impl LdGpu {
         index: Option<&SortedAdjacency>,
     ) -> Result<LdGpuOutput, LdGpuError> {
         let mut outs = run_lanes(g, index, std::slice::from_ref(&self.cfg))?;
-        Ok(outs.next().expect("one output per lane"))
+        outs.next().expect("one output per lane")
     }
 }
 
 /// Run one execution on `g` and bill it on one lane per config of
-/// `cfgs`, yielding one output per config, in order. Each output equals
-/// what a run of its config alone returns, bit for bit.
+/// `cfgs`, yielding one result per config, in order. Each output equals
+/// what a run of its config alone returns, bit for bit; a lane whose
+/// fixed batch plan does not fit device memory yields the error its own
+/// run would.
 ///
 /// The configs must share an [`LdGpuConfig::execution_class`]: they may
 /// differ only in `sparse_collectives` and `overlap`, which change how
-/// the collectives are billed and never a kernel's inputs. So the
+/// the collectives are billed, and in `sorted_index` and `batches`,
+/// which change how many slots each warp bills and how the warps are
+/// grouped into launches, but never a pointer the kernels set. So the
 /// kernels run once and every host array (pointers, mates, retirement,
-/// availability, frontiers) exists once, while each lane owns a
-/// [`SimRuntime`] that receives exactly the calls a single run of its
-/// config makes, in the same order.
+/// availability, frontiers, the slot log) exists once. Each distinct
+/// (scan, batch plan) is a [`Walk`] billed from the slot log, and each
+/// lane owns a [`SimRuntime`] that receives exactly the calls a single
+/// run of its config makes, in the same order.
 ///
 /// `index` is a prebuilt preference-sorted index of `g`. It depends
 /// only on the graph, so callers that run many configs on one graph
-/// (the auto-tuner) build it once and lend it to every run. It is read
-/// only when the configs scan through it (`sorted_index` or
-/// `streaming`, which then require it) and ignored otherwise.
+/// (the auto-tuner) build it once and lend it to every run. When given,
+/// the kernels scan through it, and full-scan lanes bill whole lists;
+/// `sorted_index` and `streaming` configs require it.
+///
+/// Errs when the class cannot run at all (a streaming window that does
+/// not fit).
 ///
 /// # Panics
 /// If `cfgs` is empty or spans two classes, if `index` was built from a
@@ -785,51 +820,66 @@ pub(crate) fn run_lanes(
     g: &CsrGraph,
     index: Option<&SortedAdjacency>,
     cfgs: &[LdGpuConfig],
-) -> Result<impl Iterator<Item = LdGpuOutput>, LdGpuError> {
+) -> Result<impl Iterator<Item = Result<LdGpuOutput, LdGpuError>>, LdGpuError> {
     let cfg = cfgs.first().expect("an execution bills at least one lane");
     let class = cfg.execution_class();
     assert!(
         cfgs.iter().all(|c| c.execution_class() == class),
-        "lanes of one execution differ beyond sparse collectives, overlap and the scan"
+        "lanes of one execution differ beyond the scan, batches, sparse collectives and overlap"
     );
     assert!(
         index.is_none_or(|idx| idx.num_vertices() == g.num_vertices()
             && idx.num_directed_edges() == g.num_directed_edges()),
         "sorted index built from another graph"
     );
+    let needs_index = cfgs.iter().any(|c| c.sorted_index || c.streaming);
+    assert!(index.is_some() || !needs_index, "sorted-index and streaming runs need the sorted index");
     let n = g.num_vertices();
     let ndev = cfg.devices.clamp(1, cfg.platform.max_devices);
     let partition = Partition::edge_balanced(g, ndev);
-    let needs_index = cfgs.iter().any(|c| c.sorted_index || c.streaming);
-    assert!(index.is_some() || !needs_index, "sorted-index and streaming runs need the sorted index");
     let mut scratch = Scratch::for_graph(g).with_devices(ndev);
 
-    // Resolve the pointing source and its plan. Streaming reports the
-    // deepest band count as `batches`: the copy/kernel rounds a full
-    // iteration takes.
-    let (pointing, batches, nbatches) = if cfg.streaming {
+    // Resolve the pointing source and each lane's walk. Streaming has one
+    // walk and reports the deepest band count as `batches`: the
+    // copy/kernel rounds a full iteration takes.
+    let mut walks: Vec<Walk> = Vec::new();
+    let (pointing, placed): (_, Vec<Result<usize, LdGpuError>>) = if cfg.streaming {
+        let index = index.expect("checked above");
         let plans = plan_bands(g, &partition, cfg)?;
         let deepest = plans.iter().map(|p| p.layout.num_bands()).max().unwrap_or(0);
         for (dev, part) in scratch.devices.iter_mut().zip(&partition.parts) {
             dev.resident = vec![0; part.num_vertices()];
         }
-        let index = index.expect("checked above");
-        (Pointing::Bands { index, plans }, vec![Vec::new(); ndev], deepest.max(1))
+        walks.push(Walk { full_scan: false, count: deepest.max(1), plans: Vec::new() });
+        (Pointing::Bands { index, plans }, vec![Ok(0); cfgs.len()])
     } else {
-        let (count, plans) = plan_batches(g, &partition, cfg)?;
-        // A full-scan lane bills its walk from the full tally of the
-        // sorted scan, so the walk goes through the index whenever
-        // there is one.
-        let pointing = index.map_or(Pointing::Full, Pointing::Sorted);
-        (pointing, plans, count)
+        let mut keys = Vec::new();
+        let mut place = |c: &LdGpuConfig| {
+            let key = (!c.sorted_index, c.batches);
+            if let Some(w) = keys.iter().position(|k| *k == key) {
+                return Ok(w);
+            }
+            let (count, plans) = plan_batches(g, &partition, c)?;
+            keys.push(key);
+            walks.push(Walk { full_scan: key.0, count, plans });
+            Ok(walks.len() - 1)
+        };
+        let placed = cfgs.iter().map(&mut place).collect();
+        for (dev, part) in scratch.devices.iter_mut().zip(&partition.parts) {
+            dev.log = vec![UNSCANNED; part.num_vertices()];
+        }
+        // Full-scan lanes bill whole lists from the slot log, so the
+        // kernels scan through the index whenever there is one.
+        (index.map_or(Pointing::Full, Pointing::Sorted), placed)
     };
+    let counts: Vec<usize> = walks.iter().map(|w| w.count).collect();
     let spec = &cfg.platform.device;
     let slots = (spec.sm_count * spec.max_warps_per_sm) as usize;
     let run = Run {
         g,
         parts: &partition.parts,
         pointing,
-        batches,
+        walks,
         retire: cfg.retire_exhausted,
         slots,
         fixed_vpw: cfg.vertices_per_warp,
@@ -841,7 +891,10 @@ pub(crate) fn run_lanes(
     let probe_iterations = cfg.probe_iterations;
 
     let cut = place_on_nodes(g, &partition, cfg, ndev);
-    let mut lanes: Vec<Lane> = cfgs.iter().map(|c| Lane::new(c, ndev, cut.as_ref())).collect();
+    let lane = |(c, placed): (&LdGpuConfig, &Result<usize, _>)| {
+        Some(Lane::new(c, ndev, cut.as_ref(), *placed.as_ref().ok()?))
+    };
+    let mut lanes: Vec<Lane> = cfgs.iter().zip(&placed).filter_map(lane).collect();
 
     // Global device-resident arrays.
     let mut pointers: Vec<u64> = vec![NONE_SENTINEL; n];
@@ -851,40 +904,40 @@ pub(crate) fn run_lanes(
     let total_directed = g.num_directed_edges() as u64;
     let mut iterations = 0usize;
 
-    loop {
+    // Nothing runs when no lane's batch plan fits.
+    while !lanes.is_empty() {
         let frontier_round = frontier && iterations > 0;
         let reports =
             run.point(&mut lanes, &mut pointers, &mut retired, devices, avail, frontier_round);
-        let mut round = PointingResult::default();
-        let mut batches_skipped = 0;
+        let mut decided = PointingResult::default();
+        let mut rounds = vec![WalkReport::default(); counts.len()];
         for r in &reports {
-            round.merge(&r.res);
-            batches_skipped += r.batches_skipped;
+            decided.merge(&r.decided);
+            rounds.iter_mut().zip(&r.walks).for_each(|(round, w)| round.merge(w));
         }
-        // Full-scan lanes of a sorted walk bill the full tally.
-        let full_round = round.as_full_scan();
-        let billed = |full_scan: bool| if full_scan { &full_round } else { &round };
-        for Lane { rt, optimized, full_scan, .. } in &mut lanes {
+        for Lane { rt, optimized, walk, .. } in &mut lanes {
             for r in &reports {
-                rt.counter_add(names::KERNEL_VERTICES_RETIRED, r.res.vertices_retired);
+                rt.counter_add(names::KERNEL_VERTICES_RETIRED, r.decided.vertices_retired);
             }
-            rt.counter_add(names::KERNEL_POINTERS_SET, round.pointers_set);
+            rt.counter_add(names::KERNEL_POINTERS_SET, decided.pointers_set);
             // The opt.* skip counters are emitted whenever a layer that
             // can skip work is on; batch skips also when they fired
             // anyway (empty batches of an oversized plan).
+            let round = &rounds[*walk];
             if *optimized || streaming {
-                rt.counter_add(names::OPT_EDGES_SKIPPED, billed(*full_scan).edges_skipped);
+                rt.counter_add(names::OPT_EDGES_SKIPPED, round.res.edges_skipped);
             }
-            if *optimized || batches_skipped > 0 {
-                rt.counter_add(names::OPT_BATCHES_SKIPPED, batches_skipped);
+            if *optimized || round.batches_skipped > 0 {
+                rt.counter_add(names::OPT_BATCHES_SKIPPED, round.batches_skipped);
             }
         }
-        if round.pointers_set == 0 {
+        if decided.pointers_set == 0 {
             break; // no available edges anywhere: matching is maximal
         }
         iterations += 1;
 
-        let written = round.stats.vertices_processed;
+        // Every walk launches every scanned vertex.
+        let written = rounds[0].res.stats.vertices_processed;
         for lane in &mut lanes {
             lane.reduce.pointers(&mut lane.rt, &lane.chunks, comm_staging, written, n);
         }
@@ -912,7 +965,7 @@ pub(crate) fn run_lanes(
                     if lane.occ_weight > 0.0 { lane.occ_weighted / lane.occ_weight } else { 0.0 };
                 rt.push_iteration(IterationRecord::from_stats(
                     iterations - 1,
-                    &billed(lane.full_scan).stats,
+                    &rounds[lane.walk].res.stats,
                     total_directed,
                     occ,
                     new_matches,
@@ -948,7 +1001,10 @@ pub(crate) fn run_lanes(
     };
     // Each lane's output is built when it is taken, so a caller that
     // keeps only the lane's time holds one mate array copy at a time.
-    Ok(lanes.into_iter().map(move |mut lane| {
+    let mut lanes = lanes.into_iter();
+    Ok(placed.into_iter().map(move |placed| {
+        let nbatches = counts[placed?];
+        let mut lane = lanes.next().expect("a lane per placed config");
         let rt = &mut lane.rt;
         rt.counter_add(names::DRIVER_ITERATIONS, iterations as u64);
         rt.gauge_set(names::DRIVER_BATCHES, nbatches as f64);
@@ -959,7 +1015,7 @@ pub(crate) fn run_lanes(
         }
         let fin = lane.rt.finish();
         let mate = mate.iter().map(|&v| if v == NONE_SENTINEL { UNMATCHED } else { v as VertexId });
-        LdGpuOutput {
+        Ok(LdGpuOutput {
             matching: Matching::from_mate(mate.collect()),
             iterations,
             sim_time: fin.sim_time,
@@ -968,7 +1024,7 @@ pub(crate) fn run_lanes(
             batches: nbatches,
             trace: fin.trace,
             metrics: fin.metrics,
-        }
+        })
     }))
 }
 
@@ -1248,15 +1304,19 @@ mod indexed_tests {
             g.num_vertices(),
         );
         let classes = [
-            ("full scan", LdGpuConfig::new(dgx.clone()).devices(4)),
-            ("re-streamed batches", LdGpuConfig::new(dgx.clone()).devices(2).batches(4)),
-            (
-                "frontier over batches",
-                LdGpuConfig::new(dgx.clone()).devices(3).batches(5).with_frontier(true),
-            ),
+            ("four devices", LdGpuConfig::new(dgx.clone()).devices(4)),
+            ("frontier", LdGpuConfig::new(dgx.clone()).devices(3).with_frontier(true)),
             (
                 "retirement off",
                 LdGpuConfig { retire_exhausted: false, ..LdGpuConfig::new(dgx.clone()).devices(2) },
+            ),
+            (
+                // One- and two-batch plans overflow device memory; the
+                // auto and finer plans fit.
+                "tight memory",
+                LdGpuConfig::new(dgx.clone().with_device_memory(tight * 2 / 5))
+                    .devices(2)
+                    .with_frontier(true),
             ),
             (
                 "streamed bands",
@@ -1278,11 +1338,16 @@ mod indexed_tests {
             ),
         ];
         for (what, class) in classes {
-            // Every (scan, sparse, overlap) lane, sorted scans interleaved
-            // with full scans.
-            let lanes: Vec<LdGpuConfig> = (0..8u32)
-                .map(|bits| {
-                    class
+            // Every (batches, scan, sparse, overlap) lane: sorted scans
+            // interleaved with full scans, resident and re-streamed batch
+            // plans, plans with empty batches (7 batches of 3 devices'
+            // frontier slices) mixed in one execution.
+            let lanes: Vec<LdGpuConfig> = [None, Some(1), Some(2), Some(4), Some(7)]
+                .into_iter()
+                .flat_map(|batches| (0..8u32).map(move |bits| (batches, bits)))
+                .map(|(batches, bits)| LdGpuConfig {
+                    batches,
+                    ..class
                         .clone()
                         .with_sorted_index(bits & 1 != 0)
                         .with_sparse_collectives(bits & 2 != 0)
@@ -1293,11 +1358,18 @@ mod indexed_tests {
             let outs: Vec<_> = run_lanes(&g, Some(&index), &lanes).unwrap().collect();
             assert_eq!(outs.len(), lanes.len());
             for (cfg, got) in lanes.iter().zip(&outs) {
-                let want = LdGpu::new(cfg.clone()).try_run(&g).unwrap();
+                let want = LdGpu::new(cfg.clone()).try_run(&g);
                 let lane = format!(
-                    "{what}, sorted {}, sparse {}, overlap {}",
-                    cfg.sorted_index, cfg.sparse_collectives, cfg.overlap
+                    "{what}, batches {:?}, sorted {}, sparse {}, overlap {}",
+                    cfg.batches, cfg.sorted_index, cfg.sparse_collectives, cfg.overlap
                 );
+                let (got, want) = match (got, want) {
+                    (Ok(got), Ok(want)) => (got, want),
+                    (got, want) => {
+                        assert_eq!(got.as_ref().err(), want.as_ref().err(), "{lane}");
+                        continue;
+                    }
+                };
                 assert!(fingerprint(got) == fingerprint(&want), "{lane}");
                 assert_eq!(
                     (got.iterations, got.batches),
@@ -1305,13 +1377,20 @@ mod indexed_tests {
                     "{lane}"
                 );
             }
-            // The lanes bill differently: one execution, eight timelines.
+            // Only the tight class has lanes whose plans overflow; they
+            // fail alone while the rest of the execution runs.
+            let failed = outs.iter().filter(|o| o.is_err()).count();
+            assert_eq!(failed > 0, what == "tight memory", "{what}");
+            let outs: Vec<_> = outs.iter().flatten().collect();
+            // The lanes bill differently: one execution, many timelines.
             assert!(outs.iter().any(|o| o.sim_time != outs[0].sim_time), "{what}");
             if !class.streaming {
-                // The scan is billed per lane: full and sorted scans of
-                // one walk bill different slot counts.
+                // The scan and the batch plan are billed per lane: full
+                // and sorted scans of one execution bill different slot
+                // counts, and the plans report their own batch counts.
                 let scanned = |o: &LdGpuOutput| o.metrics.counter(names::KERNEL_EDGES_SCANNED);
-                assert!(scanned(&outs[1]) < scanned(&outs[0]), "{what}");
+                assert!(scanned(outs[1]) < scanned(outs[0]), "{what}");
+                assert!(outs.iter().any(|o| o.batches != outs[0].batches), "{what}");
             }
         }
     }
@@ -1321,7 +1400,7 @@ mod indexed_tests {
     fn lanes_of_two_classes_are_refused() {
         let g = tied_graph();
         let cfg = LdGpuConfig::new(Platform::dgx_a100()).devices(2);
-        let _ = run_lanes(&g, None, &[cfg.clone(), cfg.batches(3)]);
+        let _ = run_lanes(&g, None, &[cfg.clone(), cfg.with_frontier(true)]);
     }
 
     #[test]

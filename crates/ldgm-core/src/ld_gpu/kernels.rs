@@ -42,6 +42,10 @@ use ldgm_part::VertexRange;
 /// `warp_edges_sumsq` accumulation order — machine-independent.
 const TASK_VERTICES: usize = 4096;
 
+/// Slot-log entry of a vertex a launch did not scan: it was matched or
+/// retired, and its warp lane exited early.
+pub(crate) const UNSCANNED: u32 = u32::MAX;
+
 /// Result of a SETPOINTERS launch over one batch.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PointingResult {
@@ -54,36 +58,41 @@ pub struct PointingResult {
     /// Edge slots skipped by the sorted-index early exit, relative to a
     /// full adjacency scan (0 for the default kernel).
     pub edges_skipped: u64,
-    /// What the paper's full CSR scan of the same vertices bills: every
-    /// processed vertex reads its whole list, so its slots are its
-    /// degree. Pointers and retirements are the same either way, so a
-    /// sorted-scan launch bills full-scan lanes from this tally. Equal to
-    /// `stats` for the full-scan kernel; band launches bill no full-scan
-    /// lane.
-    pub full: KernelStats,
 }
 
 impl PointingResult {
     /// Fold another launch's result into this one.
     pub fn merge(&mut self, other: &PointingResult) {
         self.stats.merge(&other.stats);
-        self.full.merge(&other.full);
         self.pointers_set += other.pointers_set;
         self.vertices_retired += other.vertices_retired;
         self.edges_skipped += other.edges_skipped;
     }
 
-    /// The result a launch of the full-scan kernel over the same vertices
-    /// returns: the full tally, and no skipped slots.
-    pub fn as_full_scan(&self) -> PointingResult {
-        PointingResult { stats: self.full, edges_skipped: 0, ..*self }
-    }
-
     /// Bill a compacted launch's worklist reads: 4 B per entry.
     fn with_worklist_reads(mut self) -> Self {
         self.stats.bytes_read += 4 * self.stats.vertices;
-        self.full.bytes_read += 4 * self.full.vertices;
         self
+    }
+
+    /// Write a scanned vertex's pointer, or retire it when its
+    /// neighborhood is exhausted and `retire` is on; count either.
+    #[inline]
+    fn decide(&mut self, found: Found, ptr: &mut u64, retired: &mut u8, retire: bool) {
+        match found {
+            Found::Target(v) => {
+                *ptr = v as u64;
+                self.pointers_set += 1;
+            }
+            Found::Exhausted => {
+                *ptr = NONE_SENTINEL;
+                if retire {
+                    *retired = 1;
+                    self.vertices_retired += 1;
+                }
+            }
+            Found::NextBand => {}
+        }
     }
 }
 
@@ -117,51 +126,8 @@ pub fn set_pointers_batch(
     vertices_per_warp: usize,
     retire: bool,
 ) -> PointingResult {
-    point_full(g, None, batch, avail, pointers_batch, retired_batch, vertices_per_warp, retire)
-}
-
-/// The shared full-range launch: every batch vertex, warps grouped into
-/// [`TASK_VERTICES`]-sized parallel tasks, per-warp stats preserved.
-#[allow(clippy::too_many_arguments)]
-fn point_full(
-    g: &CsrGraph,
-    sorted: Option<&SortedAdjacency>,
-    batch: &VertexRange,
-    avail: &[u8],
-    pointers_batch: &mut [u64],
-    retired_batch: &mut [u8],
-    vertices_per_warp: usize,
-    retire: bool,
-) -> PointingResult {
-    debug_assert_eq!(pointers_batch.len(), batch.num_vertices());
-    debug_assert_eq!(retired_batch.len(), batch.num_vertices());
-    let vpw = vertices_per_warp.max(1);
-    let span = TASK_VERTICES.div_ceil(vpw).max(1) * vpw;
-    pointers_batch
-        .par_chunks_mut(span)
-        .zip(retired_batch.par_chunks_mut(span))
-        .enumerate()
-        .map(|(t, (ptr_task, ret_task))| {
-            let first = batch.start + (t * span) as VertexId;
-            let end = first + ptr_task.len() as VertexId;
-            let warps = (first..end).step_by(vpw).map(|w| w..end.min(w + vpw as VertexId));
-            // Pick the scan once per task: per vertex, the branch costs
-            // the early-exit sorted scan a measurable share of its time.
-            match sorted {
-                Some(idx) => {
-                    let scan = |u| scan_sorted_slice(idx.neighbors(g, u), avail);
-                    point_warps(warps, first, avail, ptr_task, ret_task, retire, scan)
-                }
-                None => {
-                    let scan = |u| full_scan(g.neighbors(u), g.neighbor_weights(u), avail);
-                    point_warps(warps, first, avail, ptr_task, ret_task, retire, scan)
-                }
-            }
-        })
-        .reduce(PointingResult::default, |mut a, b| {
-            a.merge(&b);
-            a
-        })
+    let work = PointingWork::Full;
+    set_pointers_opt(g, None, batch, work, avail, pointers_batch, retired_batch, vertices_per_warp, retire)
 }
 
 /// What one vertex's scan decided about its pointer.
@@ -179,15 +145,12 @@ enum Found {
 /// One vertex's scan: `(found, edges_scanned, waves, edges_skipped)`.
 type Scan = (Found, u64, u64, u64);
 
-/// One warp's running tally over the vertices it scans, and the tally a
-/// full scan of the same vertices would bill (`full_edges`, `full_waves`).
+/// One warp's running tally over the vertices it scans.
 struct Warp {
     r: PointingResult,
     processed: u64,
     edges: u64,
     waves: u64,
-    full_edges: u64,
-    full_waves: u64,
 }
 
 impl Warp {
@@ -195,71 +158,40 @@ impl Warp {
     fn new(vertices: usize) -> Self {
         let stats =
             KernelStats { warps_launched: 1, vertices: vertices as u64, ..Default::default() };
-        Warp {
-            r: PointingResult { stats, full: stats, ..Default::default() },
-            processed: 0,
-            edges: 0,
-            waves: 0,
-            full_edges: 0,
-            full_waves: 0,
-        }
+        Warp { r: PointingResult { stats, ..Default::default() }, processed: 0, edges: 0, waves: 0 }
     }
 
-    /// Account one live vertex's scan, then write its pointer, or retire
-    /// it when its neighborhood is exhausted and `retire` is on.
+    /// Account one live vertex's scan of `edges` slots in `waves` waves,
+    /// `skipped` slots short of a full scan.
     #[inline]
-    fn scanned(&mut self, scan: Scan, ptr: &mut u64, retired: &mut u8, retire: bool) {
-        let (found, edges, waves, skipped) = scan;
+    fn scanned(&mut self, edges: u64, waves: u64, skipped: u64) {
         self.processed += 1;
         self.edges += edges;
         self.waves += waves;
         self.r.edges_skipped += skipped;
-        // A full scan reads the whole list: the slots this scan read
-        // plus the ones it skipped.
-        self.full_edges += edges + skipped;
-        self.full_waves += soa::waves(edges + skipped);
-        match found {
-            Found::Target(v) => {
-                *ptr = v as u64;
-                self.r.pointers_set += 1;
-            }
-            Found::Exhausted => {
-                *ptr = NONE_SENTINEL;
-                if retire {
-                    *retired = 1;
-                    self.r.vertices_retired += 1;
-                }
-            }
-            Found::NextBand => {}
-        }
     }
 
-    /// Close out the warp's [`KernelStats`], both tallies, with the
-    /// shared byte/wave model of the pointing kernels.
+    /// Close out the warp's [`KernelStats`] with the shared byte/wave
+    /// model of the pointing kernels.
     fn finish(mut self) -> PointingResult {
-        let processed = self.processed;
-        bill_warp(&mut self.r.stats, processed, self.edges, self.waves);
-        bill_warp(&mut self.r.full, processed, self.full_edges, self.full_waves);
+        let (processed, edges, waves) = (self.processed, self.edges, self.waves);
+        let stats = &mut self.r.stats;
+        stats.vertices_processed = processed;
+        stats.edges_scanned = edges;
+        stats.edge_waves = waves;
+        stats.warps_active = (processed > 0) as u64;
+        stats.max_warp_waves = waves;
+        stats.max_warp_vertices = processed;
+        stats.warp_edges_sumsq = (edges as f64) * (edges as f64);
+        // Bytes at transaction granularity: CSR offsets (16 B per
+        // vertex), adjacency id + weight streamed in full 32-wide waves (a
+        // warp load fetches whole lines even for short lists), and one
+        // 32 B sector per mate gather (uncoalesced indirect access); one
+        // pointer write per processed vertex.
+        stats.bytes_read = stats.vertices * 8 + processed * 16 + waves * 32 * (8 + 8) + edges * 32;
+        stats.bytes_written = processed * 8;
         self.r
     }
-}
-
-/// Fill a one-warp launch's `stats` from what the warp scanned.
-fn bill_warp(stats: &mut KernelStats, processed: u64, edges: u64, waves: u64) {
-    stats.vertices_processed = processed;
-    stats.edges_scanned = edges;
-    stats.edge_waves = waves;
-    stats.warps_active = (processed > 0) as u64;
-    stats.max_warp_waves = waves;
-    stats.max_warp_vertices = processed;
-    stats.warp_edges_sumsq = (edges as f64) * (edges as f64);
-    // Bytes at transaction granularity: CSR offsets (16 B per vertex),
-    // adjacency id + weight streamed in full 32-wide waves (a warp load
-    // fetches whole lines even for short lists), and one 32 B sector per
-    // mate gather (uncoalesced indirect access); one pointer write per
-    // processed vertex.
-    stats.bytes_read = stats.vertices * 8 + processed * 16 + waves * 32 * (8 + 8) + edges * 32;
-    stats.bytes_written = processed * 8;
 }
 
 /// The default full-scan packed-key argmax over one adjacency slice.
@@ -287,27 +219,10 @@ fn scan_sorted_slice(nbrs: &[VertexId], avail: &[u8]) -> Scan {
     }
 }
 
-/// Pick vertex `u`'s pointer target and account the scan (worklist
-/// launches, where vertices are not contiguous).
-///
-/// With a sorted index the list is in (weight desc, id asc) order — the
-/// canonical [`prefer`](crate::matching::prefer) order — so the first
-/// available neighbor *is* the argmax, and the warp stops after the
-/// 32-wide wave that contained it. Without one this is the default
-/// full-scan packed-key argmax.
-#[inline]
-fn scan_best(g: &CsrGraph, sorted: Option<&SortedAdjacency>, avail: &[u8], u: VertexId) -> Scan {
-    match sorted {
-        Some(idx) => scan_sorted_slice(idx.neighbors(g, u), avail),
-        None => full_scan(g.neighbors(u), g.neighbor_weights(u), avail),
-    }
-}
-
-/// Launch one warp per item of `warps`, processed sequentially (a
-/// full launch parallelizes over tasks of warps, worklist launches over
-/// devices). Matched and retired vertices exit early; `scan` decides
-/// every other vertex. The `pointers`/`retired` slices start at vertex
-/// `base`.
+/// Launch one warp per item of `warps`, processed sequentially (the band
+/// kernel's worklist launches parallelize over devices). Matched and
+/// retired vertices exit early; `scan` decides every other vertex. The
+/// `pointers`/`retired` slices start at vertex `base`.
 fn point_warps<W: ExactSizeIterator<Item = VertexId>>(
     warps: impl Iterator<Item = W>,
     base: VertexId,
@@ -325,7 +240,9 @@ fn point_warps<W: ExactSizeIterator<Item = VertexId>>(
             if avail[u as usize] == 0 || retired[i] != 0 {
                 continue; // matched or retired: early exit
             }
-            warp.scanned(scan(u), &mut pointers[i], &mut retired[i], retire);
+            let (found, edges, waves, skipped) = scan(u);
+            warp.scanned(edges, waves, skipped);
+            warp.r.decide(found, &mut pointers[i], &mut retired[i], retire);
         }
         out.merge(&warp.finish());
     }
@@ -334,7 +251,8 @@ fn point_warps<W: ExactSizeIterator<Item = VertexId>>(
 
 /// Optimized SETPOINTERS: [`set_pointers_batch`] with an optional
 /// preference-sorted index (early-exit scans) and an optional frontier
-/// worklist (compacted launch over re-pointing vertices only).
+/// worklist (compacted launch over re-pointing vertices only): the
+/// logged launch [`set_pointers_logged`], billed by [`bill_launch`].
 ///
 /// Selection is bit-identical to the default kernel: the sorted order
 /// mirrors [`prefer`](crate::matching::prefer), and a worklist launch
@@ -355,25 +273,186 @@ pub fn set_pointers_opt(
     vertices_per_warp: usize,
     retire: bool,
 ) -> PointingResult {
-    let nv = batch.num_vertices();
-    debug_assert_eq!(pointers_batch.len(), nv);
-    debug_assert_eq!(retired_batch.len(), nv);
+    let mut log = vec![UNSCANNED; batch.num_vertices()];
+    let decided =
+        set_pointers_logged(g, sorted, batch, work, avail, pointers_batch, retired_batch, &mut log, retire);
+    let billed = bill_launch(g, batch, work, batch.start, &log, vertices_per_warp, sorted.is_none());
+    PointingResult { pointers_set: decided.pointers_set, vertices_retired: decided.vertices_retired, ..billed }
+}
+
+/// The host execution of a SETPOINTERS launch over `range` (every vertex,
+/// or a worklist inside it): write each live vertex's pointer, or retire
+/// it, and log the slots its scan read in `log` (`UNSCANNED` for a vertex
+/// that exits early). `pointers`, `retired` and `log` are `range`'s
+/// slices. Returns the pointers set and vertices retired; what a launch
+/// bills comes from the log ([`bill_launch`]), which is how one execution
+/// bills walks of other batch plans and scans.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn set_pointers_logged(
+    g: &CsrGraph,
+    sorted: Option<&SortedAdjacency>,
+    range: &VertexRange,
+    work: PointingWork<'_>,
+    avail: &[u8],
+    pointers: &mut [u64],
+    retired: &mut [u8],
+    log: &mut [u32],
+    retire: bool,
+) -> PointingResult {
+    let nv = range.num_vertices();
+    debug_assert!(pointers.len() == nv && retired.len() == nv && log.len() == nv);
+    let point = |first, vertices, p: &mut [u64], r: &mut [u8], l: &mut [u32]| {
+        let slices = Slices { base: first, pointers: p, retired: r, log: l };
+        // Pick the scan once per task: per vertex, the branch costs the
+        // early-exit sorted scan a measurable share of its time.
+        match sorted {
+            Some(idx) => {
+                slices.point(vertices, avail, retire, |u| scan_sorted_slice(idx.neighbors(g, u), avail))
+            }
+            None => slices.point(vertices, avail, retire, |u| {
+                full_scan(g.neighbors(u), g.neighbor_weights(u), avail)
+            }),
+        }
+    };
+    match work {
+        PointingWork::Full => pointers
+            .par_chunks_mut(TASK_VERTICES)
+            .zip(retired.par_chunks_mut(TASK_VERTICES))
+            .zip(log.par_chunks_mut(TASK_VERTICES))
+            .enumerate()
+            .map(|(t, ((p, r), l))| {
+                let first = range.start + (t * TASK_VERTICES) as VertexId;
+                point(first, Vertices::Range(first..first + p.len() as VertexId), p, r, l)
+            })
+            .reduce(PointingResult::default, |mut a, b| {
+                a.merge(&b);
+                a
+            }),
+        PointingWork::Worklist(worklist) => {
+            debug_assert!(
+                worklist.iter().all(|&u| range.start <= u && u < range.end),
+                "worklist outside range"
+            );
+            point(range.start, Vertices::List(worklist), pointers, retired, log)
+        }
+    }
+}
+
+/// The vertices one host task of a logged launch scans.
+enum Vertices<'a> {
+    Range(std::ops::Range<VertexId>),
+    List(&'a [VertexId]),
+}
+
+/// A task's slices of the pointer, retirement and slot-log arrays, which
+/// start at vertex `base`.
+struct Slices<'a> {
+    base: VertexId,
+    pointers: &'a mut [u64],
+    retired: &'a mut [u8],
+    log: &'a mut [u32],
+}
+
+impl Slices<'_> {
+    /// [`set_pointers_logged`]'s loop over one task's `vertices`.
+    #[inline]
+    fn point(
+        self,
+        vertices: Vertices<'_>,
+        avail: &[u8],
+        retire: bool,
+        scan: impl FnMut(VertexId) -> Scan,
+    ) -> PointingResult {
+        match vertices {
+            Vertices::Range(r) => self.point_each(r, avail, retire, scan),
+            Vertices::List(l) => self.point_each(l.iter().copied(), avail, retire, scan),
+        }
+    }
+
+    #[inline]
+    fn point_each(
+        self,
+        vertices: impl Iterator<Item = VertexId>,
+        avail: &[u8],
+        retire: bool,
+        mut scan: impl FnMut(VertexId) -> Scan,
+    ) -> PointingResult {
+        let mut out = PointingResult::default();
+        for u in vertices {
+            let i = (u - self.base) as usize;
+            if avail[u as usize] == 0 || self.retired[i] != 0 {
+                self.log[i] = UNSCANNED; // matched or retired: early exit
+                continue;
+            }
+            let (found, edges, _, _) = scan(u);
+            self.log[i] = edges as u32;
+            out.decide(found, &mut self.pointers[i], &mut self.retired[i], retire);
+        }
+        out
+    }
+}
+
+/// Bill one SETPOINTERS launch from a slot log ([`set_pointers_logged`]):
+/// the launch covers `batch` (every vertex, or a worklist slice inside
+/// it), whose log entries sit at `u - base`. Warps take `vertices_per_warp`
+/// entries each; a full launch groups them into [`TASK_VERTICES`]-sized
+/// tasks from the batch start and folds tasks in order, exactly as the
+/// parallel launch does, so every stat, `warp_edges_sumsq` bits
+/// included, equals a launch that tallied as it scanned. A scanned
+/// vertex bills its logged slots, or its whole list when `full_scan`
+/// (the paper's CSR scan, which skips nothing). Counts of pointers set
+/// and retirements are the execution's and stay 0 here.
+pub(crate) fn bill_launch(
+    g: &CsrGraph,
+    batch: &VertexRange,
+    work: PointingWork<'_>,
+    base: VertexId,
+    log: &[u32],
+    vertices_per_warp: usize,
+    full_scan: bool,
+) -> PointingResult {
     let vpw = vertices_per_warp.max(1);
     match work {
         PointingWork::Full => {
-            point_full(g, sorted, batch, avail, pointers_batch, retired_batch, vpw, retire)
+            let span = TASK_VERTICES.div_ceil(vpw).max(1) * vpw;
+            let mut out = PointingResult::default();
+            for first in (batch.start..batch.end).step_by(span) {
+                let end = batch.end.min(first + span as VertexId);
+                let warps = (first..end).step_by(vpw).map(|w| w..end.min(w + vpw as VertexId));
+                out.merge(&bill_warps(g, warps, base, log, full_scan));
+            }
+            out
         }
-        PointingWork::Worklist(worklist) => {
-            debug_assert!(
-                worklist.iter().all(|&u| batch.start <= u && u < batch.end),
-                "worklist outside batch"
-            );
-            let warps = worklist.chunks(vpw).map(|w| w.iter().copied());
-            let scan = |u| scan_best(g, sorted, avail, u);
-            point_warps(warps, batch.start, avail, pointers_batch, retired_batch, retire, scan)
+        PointingWork::Worklist(slice) => {
+            bill_warps(g, slice.chunks(vpw).map(|w| w.iter().copied()), base, log, full_scan)
                 .with_worklist_reads()
         }
     }
+}
+
+/// Bill one task's `warps` from the slot log: [`bill_launch`]'s warp loop.
+fn bill_warps<W: ExactSizeIterator<Item = VertexId>>(
+    g: &CsrGraph,
+    warps: impl Iterator<Item = W>,
+    base: VertexId,
+    log: &[u32],
+    full_scan: bool,
+) -> PointingResult {
+    let mut out = PointingResult::default();
+    for vertices in warps {
+        let mut warp = Warp::new(vertices.len());
+        for u in vertices {
+            let slots = log[(u - base) as usize];
+            if slots == UNSCANNED {
+                continue;
+            }
+            let deg = g.degree(u) as u64;
+            let edges = if full_scan { deg } else { slots as u64 };
+            warp.scanned(edges, soa::waves(edges), deg - edges);
+        }
+        out.merge(&warp.finish());
+    }
+    out
 }
 
 /// Banded SETPOINTERS of the out-of-core streaming engine: scan only
@@ -486,6 +565,21 @@ mod tests {
     use super::*;
     use ldgm_graph::GraphBuilder;
     use ldgm_part::Partition;
+
+    /// Pick vertex `u`'s pointer target and account the scan, by index or not.
+    ///
+    /// With a sorted index the list is in (weight desc, id asc) order — the
+    /// canonical [`prefer`](crate::matching::prefer) order — so the first
+    /// available neighbor *is* the argmax, and the warp stops after the
+    /// 32-wide wave that contained it. Without one this is the default
+    /// full-scan packed-key argmax.
+    #[inline]
+    fn scan_best(g: &CsrGraph, sorted: Option<&SortedAdjacency>, avail: &[u8], u: VertexId) -> Scan {
+        match sorted {
+            Some(idx) => scan_sorted_slice(idx.neighbors(g, u), avail),
+            None => full_scan(g.neighbors(u), g.neighbor_weights(u), avail),
+        }
+    }
 
     fn whole(g: &CsrGraph) -> VertexRange {
         Partition::edge_balanced(g, 1).parts[0]

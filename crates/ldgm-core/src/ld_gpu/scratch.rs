@@ -49,6 +49,10 @@ pub(crate) struct DeviceScratch {
     /// iteration, so re-streaming them bills no copy bytes. Empty
     /// outside streaming mode.
     pub(crate) resident: Vec<u8>,
+    /// Slot log of the batch walks, one entry per vertex of the part: the
+    /// edge slots this iteration's scan of the vertex read, or
+    /// `UNSCANNED`. Empty in streaming mode.
+    pub(crate) log: Vec<u32>,
 }
 
 impl Scratch {
