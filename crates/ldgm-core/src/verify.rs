@@ -5,6 +5,8 @@
 //! linear-time check that implies the ½-approximation bound without
 //! knowing the optimum.
 
+use rayon::prelude::*;
+
 use crate::matching::Matching;
 use ldgm_graph::csr::{CsrGraph, VertexId};
 
@@ -18,18 +20,39 @@ use ldgm_graph::csr::{CsrGraph, VertexId};
 /// `w(M) ≥ ½·w(M*)`: charge each optimal edge to a dominating adjacent
 /// matched edge; a matched edge is charged at most twice (once per
 /// endpoint), each time by an edge no heavier than itself.
+///
+/// A matching that pairs two non-adjacent vertices certifies nothing and
+/// fails. Runs in parallel: one pass finds each vertex's matched weight,
+/// a second checks every edge against its endpoints' weights.
 pub fn half_approx_certificate(g: &CsrGraph, m: &Matching) -> bool {
-    let matched_weight = |x: VertexId| -> f64 {
-        m.mate(x)
-            .map(|y| g.edge_weight(x, y).expect("matched non-edge"))
-            .unwrap_or(f64::NEG_INFINITY)
-    };
-    for (u, v, w) in g.iter_edges() {
-        if matched_weight(u) < w && matched_weight(v) < w {
-            return false;
-        }
+    const CHUNK: usize = 1 << 14;
+    let n = g.num_vertices();
+    let mut matched = vec![f64::NEG_INFINITY; n];
+    let adjacent = matched
+        .par_chunks_mut(CHUNK)
+        .enumerate()
+        .map(|(c, ws)| {
+            (c * CHUNK..).zip(ws).all(|(x, w)| match m.mate(x as VertexId) {
+                None => true,
+                Some(y) => g.edge_weight(x as VertexId, y).map(|wy| *w = wy).is_some(),
+            })
+        })
+        .reduce(|| true, |a, b| a && b);
+    if !adjacent {
+        return false;
     }
-    true
+    let matched = &matched;
+    (0..n.div_ceil(CHUNK))
+        .into_par_iter()
+        .map(|c| {
+            (c * CHUNK..n.min((c + 1) * CHUNK)).all(|u| {
+                let edges = g.edges_of(u as VertexId);
+                edges.filter(|&(v, _)| u < v as usize).all(|(v, w)| {
+                    matched[u] >= w || matched[v as usize] >= w
+                })
+            })
+        })
+        .reduce(|| true, |a, b| a && b)
 }
 
 /// Exhaustive maximum-weight matching by recursion over edges — only for
@@ -82,6 +105,73 @@ mod tests {
     use crate::ld_seq::ld_seq;
     use ldgm_graph::gen::urand;
     use ldgm_graph::GraphBuilder;
+
+    /// The certificate as it stood before it went parallel: two binary
+    /// searches per edge, serially. Panics on a matched non-edge.
+    fn serial_certificate(g: &CsrGraph, m: &Matching) -> bool {
+        let matched_weight = |x: VertexId| -> f64 {
+            m.mate(x)
+                .map(|y| g.edge_weight(x, y).expect("matched non-edge"))
+                .unwrap_or(f64::NEG_INFINITY)
+        };
+        for (u, v, w) in g.iter_edges() {
+            if matched_weight(u) < w && matched_weight(v) < w {
+                return false;
+            }
+        }
+        true
+    }
+
+    #[test]
+    fn certificate_agrees_with_the_serial_check() {
+        use ldgm_graph::gen::{rmat, RmatParams};
+        let mut fails = 0;
+        for seed in 0..8u64 {
+            // Past one parallel chunk, so both passes split their work.
+            let g = if seed % 2 == 0 {
+                urand(20_000, 60_000, seed)
+            } else {
+                rmat(1 << 15, 60_000, RmatParams::SOCIAL, seed)
+            };
+            let good = ld_seq(&g);
+            // Perturbed: unmatch every k-th pair, then match some free
+            // vertices to a free neighbor.
+            let k = 2 + seed as usize % 5;
+            let mut bad = good.clone();
+            for u in 0..g.num_vertices() as VertexId {
+                match bad.mate(u) {
+                    Some(v) if u < v && u as usize % k == 0 => bad.unjoin(u, v),
+                    None if u as usize % k == 1 => {
+                        if let Some((v, _)) = g.edges_of(u).find(|&(v, _)| !bad.is_matched(v)) {
+                            bad.join(u, v);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            for (what, m) in [("ld-seq", &good), ("perturbed", &bad)] {
+                let want = serial_certificate(&g, m);
+                assert_eq!(half_approx_certificate(&g, m), want, "seed {seed}, {what}");
+                fails += !want as usize;
+            }
+        }
+        assert!(fails > 0, "some perturbed matchings must fail the certificate");
+    }
+
+    #[test]
+    fn certificate_fails_on_a_non_adjacent_pair() {
+        // 0-1 and 2-3 are edges; 0-3 is not.
+        let g = GraphBuilder::new(4).add_edge(0, 1, 1.0).add_edge(2, 3, 1.0).build();
+        let mut m = Matching::new(4);
+        m.join(0, 3);
+        assert!(!half_approx_certificate(&g, &m));
+        // An isolated pair far from any edge fails too.
+        let g = GraphBuilder::new(6).add_edge(0, 1, 1.0).build();
+        let mut m = Matching::new(6);
+        m.join(0, 1);
+        m.join(4, 5);
+        assert!(!half_approx_certificate(&g, &m));
+    }
 
     #[test]
     fn certificate_holds_for_ld_matchings() {
