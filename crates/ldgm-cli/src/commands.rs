@@ -12,8 +12,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ldgm_core::augment::augment_short;
-use ldgm_core::ld_gpu::{auto_tune, TuneReport};
-use ldgm_core::matcher::{LdGpuMatcher, LdGpuOptMatcher};
+use ldgm_core::ld_gpu::{auto_tune, auto_tune_and_run, TuneReport};
+use ldgm_core::matcher::{ld_gpu_result, LdGpuMatcher, LdGpuOptMatcher};
 use ldgm_core::verify::half_approx_certificate;
 use ldgm_core::{
     edit_distance, nearest_names, MatchResult, Matcher, MatcherRegistry, MatcherSetup,
@@ -290,13 +290,14 @@ fn parse_platform(name: &str) -> Result<Platform, ArgError> {
 /// Resolve `--auto-tune` for one of the LD-GPU matchers: search the
 /// (batches × toggles × overlap) config grid on `g` with short probe
 /// runs and return a matcher locked to the full-run winner, which is
-/// never slower (simulated) than the defaults. Other algorithms have no
-/// tunable driver config and reject the flag.
+/// never slower (simulated) than the defaults, with the search's own
+/// full run of it: the result the matcher would return on `g`. Other
+/// algorithms have no tunable driver config and reject the flag.
 fn tuned_matcher(
     algorithm: &str,
     setup: &MatcherSetup,
     g: &CsrGraph,
-) -> Result<(Box<dyn Matcher>, TuneReport), ArgError> {
+) -> Result<(Box<dyn Matcher>, TuneReport, Option<MatchResult>), ArgError> {
     let base = match algorithm {
         "ld-gpu" => LdGpuMatcher::config_from_setup(setup),
         "ld-gpu-opt" => LdGpuMatcher::config_from_setup(setup).optimized(),
@@ -306,12 +307,21 @@ fn tuned_matcher(
             )))
         }
     };
-    let report = auto_tune(g, &base).map_err(|e| ArgError(format!("auto-tune failed: {e}")))?;
+    let (report, locked) = auto_tune_and_run(g, &base)
+        .map_err(|e| ArgError(format!("auto-tune failed: {e}")))?;
     let matcher: Box<dyn Matcher> = match algorithm {
         "ld-gpu" => Box::new(LdGpuMatcher { cfg: report.config.clone() }),
         _ => Box::new(LdGpuOptMatcher { cfg: report.config.clone() }),
     };
-    Ok((matcher, report))
+    Ok((matcher, report, locked.map(ld_gpu_result)))
+}
+
+/// Run `matcher` on `g`; returns the result and the host milliseconds the
+/// run took.
+fn timed_run(matcher: &dyn Matcher, g: &CsrGraph) -> Result<(MatchResult, f64), ArgError> {
+    let wall_start = std::time::Instant::now();
+    let result = matcher.run(g).map_err(|e| ArgError(e.to_string()))?;
+    Ok((result, wall_start.elapsed().as_secs_f64() * 1e3))
 }
 
 /// One-line summary of a tuning verdict for command output.
@@ -469,17 +479,18 @@ fn cmd_match(args: &Args) -> Result<String, ArgError> {
     // the matcher, so typos keep their nearest-name suggestions.
     let matcher = registry.try_get(algorithm).map_err(|e| ArgError(e.to_string()))?;
     let mut out = String::new();
-    let tuned = if args.has_flag("auto-tune") {
-        let (m, report) = tuned_matcher(algorithm, &setup, &g)?;
+    // With --auto-tune the tuner's full run of the locked config is the
+    // result, and the wall time is the search's, which includes it.
+    let (result, wall_time_ms) = if args.has_flag("auto-tune") {
+        let (m, report, locked) = tuned_matcher(algorithm, &setup, &g)?;
         out.push_str(&tune_note(&report));
-        Some(m)
+        match locked {
+            Some(locked) => (locked, report.wall_s * 1e3),
+            None => timed_run(m.as_ref(), &g)?,
+        }
     } else {
-        None
+        timed_run(matcher, &g)?
     };
-    let matcher: &dyn Matcher = tuned.as_deref().unwrap_or(matcher);
-    let wall_start = std::time::Instant::now();
-    let result = matcher.run(&g).map_err(|e| ArgError(e.to_string()))?;
-    let wall_time_ms = wall_start.elapsed().as_secs_f64() * 1e3;
 
     let mut sim_note = String::new();
     if result.simulated {
@@ -884,14 +895,18 @@ fn cmd_profile(args: &Args) -> Result<String, ArgError> {
     let top_n: usize = args.get_num("metrics", 6usize)?;
 
     let mut out = String::new();
+    let mut locked: Vec<(&str, MatchResult)> = Vec::new();
     if args.has_flag("auto-tune") {
         // Re-register each requested LD-GPU matcher with its locked
         // config so the profile rows show the tuned runs.
+        // The tuner's own full run of each locked config stands in for
+        // running it again.
         for alg in ["ld-gpu", "ld-gpu-opt"] {
             if names.iter().any(|n| n == alg) {
-                let (m, report) = tuned_matcher(alg, &setup, &g)?;
+                let (m, report, run) = tuned_matcher(alg, &setup, &g)?;
                 write!(out, "{alg} {}", tune_note(&report)).unwrap();
                 drop(registry.register(m));
+                locked.extend(run.map(|r| (alg, r)));
             }
         }
     }
@@ -914,7 +929,11 @@ fn cmd_profile(args: &Args) -> Result<String, ArgError> {
     let mut runs: Vec<(String, MatchResult)> = Vec::new();
     for name in &names {
         let matcher = registry.try_get(name).map_err(|e| ArgError(e.to_string()))?;
-        match matcher.run(&g) {
+        let run = match locked.iter().position(|(alg, _)| alg == name) {
+            Some(i) => Ok(locked.swap_remove(i).1),
+            None => matcher.run(&g),
+        };
+        match run {
             Err(e) => writeln!(out, "{name:<11} skipped: {e}").unwrap(),
             Ok(r) => {
                 let phases = result_phases(&r);

@@ -23,4 +23,4 @@ pub use config::{LdGpuConfig, LdGpuError};
 pub use driver::{LdGpu, LdGpuOutput};
 pub use kernels::{set_mates, set_pointers_batch, set_pointers_opt, PointingResult, PointingWork};
 pub use scratch::Scratch;
-pub use tune::{auto_tune, auto_tune_with, TuneOptions, TuneReport};
+pub use tune::{auto_tune, auto_tune_and_run, auto_tune_with, TuneOptions, TuneReport};

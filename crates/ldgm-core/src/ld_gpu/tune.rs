@@ -51,7 +51,7 @@ use ldgm_graph::csr::CsrGraph;
 use ldgm_graph::SortedAdjacency;
 
 use super::driver::run_lanes;
-use super::{LdGpuConfig, LdGpuError};
+use super::{LdGpuConfig, LdGpuError, LdGpuOutput};
 
 /// Knobs of the tuning search itself (not of the tuned config).
 #[derive(Clone, Debug)]
@@ -205,15 +205,30 @@ pub fn auto_tune(g: &CsrGraph, base: &LdGpuConfig) -> Result<TuneReport, LdGpuEr
     auto_tune_with(g, base, &TuneOptions::default())
 }
 
+/// [`auto_tune`], handing back the locked config's full run with the
+/// report. The search runs the locked config to completion anyway; this
+/// keeps that run instead of dropping it. Its full runs then record what
+/// `base` asks to collect (iteration records, trace), so the output is
+/// what `LdGpu::new(report.config).try_run(g)` returns, bit for bit.
+/// `None` when `base` is itself a probe (`probe_iterations` set), whose
+/// full runs stop early.
+pub fn auto_tune_and_run(
+    g: &CsrGraph,
+    base: &LdGpuConfig,
+) -> Result<(TuneReport, Option<LdGpuOutput>), LdGpuError> {
+    search(g, base, &TuneOptions::default(), base.probe_iterations.is_none())
+}
+
 /// Run every config of `cfgs` on `g`, one execution per execution class
 /// ([`LdGpuConfig::execution_class`]) with the class's configs as its
-/// lanes. Returns each config's simulated time (or its class's error) in
-/// input order, and how many executions ran.
-fn run_by_class(
+/// lanes. Returns what `take` keeps of each config's output (or the
+/// config's error) in input order, and how many executions ran.
+fn run_by_class<T>(
     g: &CsrGraph,
     index: &SortedAdjacency,
     cfgs: &[LdGpuConfig],
-) -> (Vec<Result<f64, LdGpuError>>, usize) {
+    take: impl Fn(LdGpuOutput) -> T,
+) -> (Vec<Result<T, LdGpuError>>, usize) {
     // Classes in order of first appearance; each lists its members.
     let mut classes: Vec<(LdGpuConfig, Vec<usize>)> = Vec::new();
     for (i, cfg) in cfgs.iter().enumerate() {
@@ -223,7 +238,7 @@ fn run_by_class(
             None => classes.push((class, vec![i])),
         }
     }
-    let mut times = vec![None; cfgs.len()];
+    let mut times: Vec<Option<Result<T, LdGpuError>>> = cfgs.iter().map(|_| None).collect();
     let mut executions = 0;
     for (_, members) in classes {
         let lanes: Vec<LdGpuConfig> = members.iter().map(|&i| cfgs[i].clone()).collect();
@@ -233,7 +248,7 @@ fn run_by_class(
                 let mut ran = false;
                 for (&i, out) in members.iter().zip(outs) {
                     ran |= out.is_ok();
-                    times[i] = Some(out.map(|o| o.sim_time));
+                    times[i] = Some(out.map(&take));
                 }
                 executions += ran as usize;
             }
@@ -260,6 +275,17 @@ pub fn auto_tune_with(
     base: &LdGpuConfig,
     opts: &TuneOptions,
 ) -> Result<TuneReport, LdGpuError> {
+    Ok(search(g, base, opts, false)?.0)
+}
+
+/// The search behind [`auto_tune_with`]; `keep` also returns the locked
+/// config's full run ([`auto_tune_and_run`]).
+fn search(
+    g: &CsrGraph,
+    base: &LdGpuConfig,
+    opts: &TuneOptions,
+    keep: bool,
+) -> Result<(TuneReport, Option<LdGpuOutput>), LdGpuError> {
     let start = Instant::now();
     // The grid always holds sorted-index candidates; one index serves
     // every run below (runs that do not scan through it ignore it).
@@ -270,7 +296,7 @@ pub fn auto_tune_with(
         .iter()
         .map(|cand| LdGpuConfig { probe_iterations: Some(probe_k), ..quiet(cand.clone()) })
         .collect();
-    let (probe_times, probe_runs) = run_by_class(g, &index, &probes);
+    let (probe_times, probe_runs) = run_by_class(g, &index, &probes, |o| o.sim_time);
     // Infeasible batch plans on this platform are skipped.
     let mut probed: Vec<(f64, usize, LdGpuConfig)> = probe_times
         .into_iter()
@@ -285,23 +311,25 @@ pub fn auto_tune_with(
     probed.truncate(opts.shortlist.max(1));
 
     // Full runs: the base config first (its time is the floor the locked
-    // config must beat or match), then the shortlist in probe order.
+    // config must beat or match), then the shortlist in probe order. The
+    // candidates carry the base's collection flags, which bill nothing.
     let full: Vec<LdGpuConfig> = std::iter::once(base)
         .chain(probed.iter().map(|(_, _, cand)| cand))
-        .map(|cfg| quiet(cfg.clone()))
+        .map(|cfg| if keep { cfg.clone() } else { quiet(cfg.clone()) })
         .collect();
-    let (full_times, full_runs) = run_by_class(g, &index, &full);
-    let mut full_times = full_times.into_iter();
-    let base_time = full_times.next().expect("the base runs")?;
+    let (full_runs, full_execs) =
+        run_by_class(g, &index, &full, |o| (o.sim_time, keep.then_some(o)));
+    let mut full_runs = full_runs.into_iter();
+    let (base_time, mut best_run) = full_runs.next().expect("the base runs")?;
     let mut best_cfg = base.clone();
     let mut best_time = base_time;
     let mut shortlist = Vec::new();
-    for ((probe_time, _, cand), time) in probed.into_iter().zip(full_times) {
+    for ((probe_time, _, cand), run) in probed.into_iter().zip(full_runs) {
         shortlist.push(ProbeRecord { knobs: describe_knobs(&cand), probe_time });
         // Strict improvement only: ties keep the earlier (or base)
         // config, which also makes re-tuning deterministic.
-        if let Some(time) = time.ok().filter(|&t| t < best_time) {
-            best_time = time;
+        if let Some((time, run)) = run.ok().filter(|&(t, _)| t < best_time) {
+            (best_time, best_run) = (time, run);
             best_cfg = cand;
         }
     }
@@ -309,15 +337,16 @@ pub fn auto_tune_with(
     best_cfg.probe_iterations = None;
     best_cfg.collect_iterations = base.collect_iterations;
     best_cfg.collect_trace = base.collect_trace;
-    Ok(TuneReport {
+    let report = TuneReport {
         config: best_cfg,
         sim_time: best_time,
         base_sim_time: base_time,
         candidates: candidates_run,
-        executions: probe_runs + full_runs,
+        executions: probe_runs + full_execs,
         shortlist,
         wall_s: start.elapsed().as_secs_f64(),
-    })
+    };
+    Ok((report, best_run))
 }
 
 #[cfg(test)]
@@ -494,6 +523,38 @@ mod tests {
         let tuned = LdGpu::new(report.config.clone()).run(&g);
         let default = LdGpu::new(base).run(&g);
         assert_eq!(tuned.matching.mate_array(), default.matching.mate_array());
+    }
+
+    #[test]
+    fn the_kept_locked_run_is_the_run_of_the_locked_config() {
+        use ldgm_gpusim::export::chrome_trace_json;
+        let g = rmat(2_000, 16_000, RmatParams::GAP_KRON, 13);
+        let dgx = Platform::dgx_a100();
+        for base in [
+            LdGpuConfig::new(dgx.clone()).devices(2),
+            LdGpuConfig::new(dgx.clone()).devices(4).optimized().with_trace(),
+            LdGpuConfig::new(dgx).devices(2).with_streaming(true).without_iteration_profile(),
+        ] {
+            let (report, kept) = auto_tune_and_run(&g, &base).unwrap();
+            let kept = kept.expect("the base runs to completion");
+            let plain = auto_tune(&g, &base).unwrap();
+            assert_eq!(report.config, plain.config);
+            assert_eq!(report.sim_time.to_bits(), plain.sim_time.to_bits());
+            assert_eq!(report.base_sim_time.to_bits(), plain.base_sim_time.to_bits());
+            let want = LdGpu::new(report.config.clone()).try_run(&g).unwrap();
+            assert_eq!(kept.matching.mate_array(), want.matching.mate_array());
+            assert_eq!(kept.sim_time.to_bits(), want.sim_time.to_bits());
+            assert_eq!(kept.profile, want.profile);
+            assert_eq!(
+                kept.metrics.to_json().to_string_compact(),
+                want.metrics.to_json().to_string_compact()
+            );
+            let trace = |o: &LdGpuOutput| o.trace.as_ref().map(|t| chrome_trace_json(t).to_string_compact());
+            assert_eq!(trace(&kept), trace(&want));
+            assert_eq!((kept.iterations, kept.batches), (want.iterations, want.batches));
+        }
+        let probe = LdGpuConfig { probe_iterations: Some(2), ..LdGpuConfig::new(Platform::dgx_a100()) };
+        assert!(auto_tune_and_run(&g, &probe).unwrap().1.is_none());
     }
 
     #[test]

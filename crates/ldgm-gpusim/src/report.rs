@@ -59,7 +59,10 @@ pub struct RunReport {
     pub sim_time: f64,
     /// Host wall-clock milliseconds the run took to execute — the
     /// simulator's own cost, independent of the billed `sim_time`
-    /// (schema v4). Zero when the caller did not measure it.
+    /// (schema v4). Zero when the caller did not measure it. When an
+    /// auto-tuned run reports the tuner's own full run of the locked
+    /// config (`ldgm match --auto-tune`), this is the whole tuning
+    /// search, which includes that run.
     pub wall_time_ms: f64,
     /// Algorithm iterations/rounds (0 when the notion doesn't apply).
     pub iterations: u64,
