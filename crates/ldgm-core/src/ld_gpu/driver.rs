@@ -2,19 +2,24 @@
 //!
 //! Every execution ([`run_lanes`]) bills one or more configs, its
 //! *lanes*, that share an [`LdGpuConfig::execution_class`]: they may
-//! differ only in sparse collectives and overlap, which decide how the
-//! devices reduce ([`Reduce`]) and never what a kernel computes.
+//! differ only in knobs that never change a pointer the kernels set —
+//! the scan (sorted early exit or full list) and the batch plan, which
+//! decide what each launch bills, and sparse collectives and overlap,
+//! which decide how the devices reduce ([`Reduce`]). The frontier,
+//! devices, platform and streaming plan stay in the class.
 //! [`LdGpu::try_run`] is the one-lane call; the auto-tuner runs each
 //! class of its grid as one execution with a lane per candidate. An
 //! execution resolves the class once, before the first iteration, into
-//! where SETPOINTERS reads neighbors from ([`Pointing`]), and plans the
-//! batches (or streaming bands) and the cluster placement. Each lane
-//! holds its reduction mode and its own [`SimRuntime`]. The host arrays
-//! (pointers, mates, retirement, availability, frontiers) and every
-//! kernel call exist once per execution, and every billing call is made
-//! on each lane in the order a single run of that lane's config makes
-//! it, so each lane's output equals that run's bit for bit. The loop is
-//! the paper's skeleton, one plain function per step:
+//! where SETPOINTERS reads neighbors from ([`Pointing`]), one [`Walk`]
+//! per distinct (scan, batch plan) of its lanes, the streaming bands and
+//! the cluster placement. Each lane holds its walk, its reduction mode
+//! and its own [`SimRuntime`]. The host arrays (pointers, mates,
+//! retirement, availability, frontiers) and every kernel call exist once
+//! per execution: the kernels log the slots each vertex's scan read, and
+//! each walk forms its own batches and warps from that log. Every billing
+//! call is made on each lane in the order a single run of that lane's
+//! config makes it, so each lane's output equals that run's bit for bit.
+//! The loop is the paper's skeleton, one plain function per step:
 //!
 //! 1. **point** ([`Run::point`]) — every device walks its batches,
 //!    loading batch `b+1` while the SETPOINTERS kernel of batch `b` runs
@@ -40,7 +45,7 @@
 //!
 //! Every strategy leaves the matching bit-identical to the default
 //! `ld-gpu` path; only billed work and time change. The `ld-gpu-opt`
-//! preset ([`LdGpuConfig::optimized`]) combines [`Pointing::Sorted`],
+//! preset ([`LdGpuConfig::optimized`]) combines the sorted-index scan,
 //! the cross-iteration frontier and [`Reduce::Sparse`].
 //!
 //! **Cross-iteration frontier.** After SETMATES, the only vertices whose
@@ -69,10 +74,11 @@ use ldgm_gpusim::{
 };
 use ldgm_graph::csr::{CsrGraph, VertexId};
 use ldgm_graph::SortedAdjacency;
-use ldgm_part::placement::{cut_stats, CutStats, NodePlacement};
-use ldgm_part::{batch, memory, plan_substreams, Partition, SubstreamPlan, VertexRange};
+use ldgm_part::placement::CutStats;
+use ldgm_part::{memory, Partition, SubstreamPlan, VertexRange};
 
 use super::config::{LdGpuConfig, LdGpuError};
+use super::plan::{place_on_nodes, plan_bands, plan_walks, Walk};
 use super::kernels::{
     bill_launch, set_mates, set_pointers_band, set_pointers_logged, PointingResult, PointingWork,
     UNSCANNED,
@@ -110,14 +116,14 @@ pub struct LdGpu {
 
 /// Where SETPOINTERS reads each vertex's neighbors from.
 enum Pointing<'a> {
-    /// The paper's full CSR scan for the heaviest available neighbor.
-    Full,
-    /// Early-exit scans through the preference-sorted index (weight
-    /// desc, id asc: the canonical [`prefer`] order), so the first
-    /// available neighbor is the full scan's argmax and the warp stops
-    /// at the wave holding it. The index is per-graph preprocessing,
-    /// excluded from timings like the initial partition transfer.
-    Sorted(&'a SortedAdjacency),
+    /// Batch walks: the paper's full CSR scan for the heaviest available
+    /// neighbor, or, given the preference-sorted index (weight desc, id
+    /// asc: the canonical [`prefer`] order), early-exit scans through it,
+    /// where the first available neighbor is the full scan's argmax and
+    /// the warp stops at the wave holding it. The index is per-graph
+    /// preprocessing, excluded from timings like the initial partition
+    /// transfer.
+    Batches(Option<&'a SortedAdjacency>),
     /// Out-of-core streaming: each device walks the fixed-width rank
     /// bands of its plan over the sorted index instead of batches,
     /// keeping a window of bands resident across iterations while the
@@ -208,20 +214,6 @@ impl Reduce {
             Reduce::Dense => rt.allreduce("allreduce mate", 8 * n as u64),
         };
     }
-}
-
-/// How a lane's pointing phase is billed: its scan and its batch plan.
-/// Every walk of an execution forms its own batches and warps from the
-/// one slot log the kernels wrote ([`bill_launch`]).
-struct Walk {
-    /// Bill whole lists (the paper's CSR scan), not the logged early
-    /// exits of the sorted scan.
-    full_scan: bool,
-    /// Batches per device, as reported (streaming: the deepest band
-    /// count).
-    count: usize,
-    /// Per-device batch plans (empty under [`Pointing::Bands`]).
-    plans: Vec<Vec<VertexRange>>,
 }
 
 /// One billing lane of an execution: one config's walk and reduction
@@ -413,9 +405,8 @@ impl Run<'_> {
             .into_par_iter()
             .map(|mut task| {
                 let rep = match &self.pointing {
-                    Pointing::Full => self.point_batches(&mut task, None, avail, frontier_round),
-                    Pointing::Sorted(index) => {
-                        self.point_batches(&mut task, Some(index), avail, frontier_round)
+                    Pointing::Batches(index) => {
+                        self.point_batches(&mut task, *index, avail, frontier_round)
                     }
                     Pointing::Bands { index, plans } => {
                         let plan = &plans[task.device];
@@ -678,83 +669,6 @@ impl Run<'_> {
     }
 }
 
-/// Out-of-core planning: size a resident band window per device.
-fn plan_bands(
-    g: &CsrGraph,
-    partition: &Partition,
-    cfg: &LdGpuConfig,
-) -> Result<Vec<SubstreamPlan>, LdGpuError> {
-    let budget = cfg.mem_budget.unwrap_or(cfg.platform.device.mem_bytes);
-    let window = cfg.stream_window.unwrap_or(2).max(2);
-    let plan = |(device, part)| {
-        plan_substreams(g, part, g.num_vertices(), budget, window).map_err(|e| {
-            LdGpuError::StreamPlanTooLarge {
-                device,
-                window,
-                required: e.required,
-                mem_bytes: e.mem_bytes,
-            }
-        })
-    };
-    partition.parts.iter().enumerate().map(plan).collect()
-}
-
-/// Batch plans with an identical count per device (paper §III-C): the
-/// configured count, which must fit device memory, or else the minimum
-/// count that fits. Returns the count and the per-device plans.
-fn plan_batches(
-    g: &CsrGraph,
-    partition: &Partition,
-    cfg: &LdGpuConfig,
-) -> Result<(usize, Vec<Vec<VertexRange>>), LdGpuError> {
-    let (n, mem) = (g.num_vertices(), cfg.platform.device.mem_bytes);
-    let mut count = cfg.batches.unwrap_or(1);
-    if cfg.batches.is_none() {
-        for (device, part) in partition.parts.iter().enumerate() {
-            let fit = batch::min_batches_to_fit(g, part, n, mem, 1);
-            count = count.max(fit.ok_or(LdGpuError::OutOfMemory { device, mem_bytes: mem })?);
-        }
-    }
-    let plans: Vec<_> = partition.parts.iter().map(|p| batch::make_batches(g, p, count)).collect();
-    for (device, plan) in plans.iter().enumerate() {
-        let required = memory::device_footprint_bytes(plan, n);
-        if cfg.batches.is_some() && required > mem {
-            return Err(LdGpuError::BatchPlanTooLarge {
-                device,
-                batches: count,
-                required,
-                mem_bytes: mem,
-            });
-        }
-    }
-    Ok((count, plans))
-}
-
-/// Cluster placement: decide which parts share a node and measure the
-/// inter-node cut. Billing-layer only — the reductions still span every
-/// device and the matching is bit-identical under any placement; what
-/// changes is how much of each collective payload the simulator sends
-/// over the slow inter-node link. `None` when the devices fit one node.
-fn place_on_nodes(
-    g: &CsrGraph,
-    partition: &Partition,
-    cfg: &LdGpuConfig,
-    ndev: usize,
-) -> Option<CutStats> {
-    let topo = cfg.platform.cluster_topology()?;
-    let nodes = topo.nodes_spanned(ndev);
-    if nodes <= 1 {
-        return None;
-    }
-    let caps: Vec<usize> = (0..nodes).map(|node| topo.devices_on_node(node, ndev)).collect();
-    let placement = if cfg.topology_placement {
-        NodePlacement::topology_aware(g, partition, &caps)
-    } else {
-        NodePlacement::grouped(ndev, &caps)
-    };
-    Some(cut_stats(g, partition, &placement))
-}
-
 impl LdGpu {
     /// Create a matcher from a configuration.
     pub fn new(cfg: LdGpuConfig) -> Self {
@@ -842,35 +756,23 @@ pub(crate) fn run_lanes(
     // Resolve the pointing source and each lane's walk. Streaming has one
     // walk and reports the deepest band count as `batches`: the
     // copy/kernel rounds a full iteration takes.
-    let mut walks: Vec<Walk> = Vec::new();
-    let (pointing, placed): (_, Vec<Result<usize, LdGpuError>>) = if cfg.streaming {
+    let (pointing, walks, placed) = if cfg.streaming {
         let index = index.expect("checked above");
         let plans = plan_bands(g, &partition, cfg)?;
         let deepest = plans.iter().map(|p| p.layout.num_bands()).max().unwrap_or(0);
         for (dev, part) in scratch.devices.iter_mut().zip(&partition.parts) {
             dev.resident = vec![0; part.num_vertices()];
         }
-        walks.push(Walk { full_scan: false, count: deepest.max(1), plans: Vec::new() });
-        (Pointing::Bands { index, plans }, vec![Ok(0); cfgs.len()])
+        let walk = Walk { full_scan: false, count: deepest.max(1), plans: Vec::new() };
+        (Pointing::Bands { index, plans }, vec![walk], vec![Ok(0); cfgs.len()])
     } else {
-        let mut keys = Vec::new();
-        let mut place = |c: &LdGpuConfig| {
-            let key = (!c.sorted_index, c.batches);
-            if let Some(w) = keys.iter().position(|k| *k == key) {
-                return Ok(w);
-            }
-            let (count, plans) = plan_batches(g, &partition, c)?;
-            keys.push(key);
-            walks.push(Walk { full_scan: key.0, count, plans });
-            Ok(walks.len() - 1)
-        };
-        let placed = cfgs.iter().map(&mut place).collect();
+        let (walks, placed) = plan_walks(g, &partition, cfgs);
         for (dev, part) in scratch.devices.iter_mut().zip(&partition.parts) {
             dev.log = vec![UNSCANNED; part.num_vertices()];
         }
         // Full-scan lanes bill whole lists from the slot log, so the
         // kernels scan through the index whenever there is one.
-        (index.map_or(Pointing::Full, Pointing::Sorted), placed)
+        (Pointing::Batches(index), walks, placed)
     };
     let counts: Vec<usize> = walks.iter().map(|w| w.count).collect();
     let spec = &cfg.platform.device;
@@ -997,7 +899,7 @@ pub(crate) fn run_lanes(
         Pointing::Bands { plans, .. } => {
             Some(plans.iter().map(|p| p.resident_bytes).max().unwrap_or(0))
         }
-        Pointing::Full | Pointing::Sorted(_) => None,
+        Pointing::Batches(_) => None,
     };
     // Each lane's output is built when it is taken, so a caller that
     // keeps only the lane's time holds one mate array copy at a time.

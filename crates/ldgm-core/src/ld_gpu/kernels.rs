@@ -15,11 +15,18 @@
 //! maximum of [`ldgm_graph::soa::scan_best`] — exact, because positive
 //! finite weight bits are order-isomorphic to their values and the
 //! complemented id breaks ties toward the smaller id, mirroring the
-//! canonical [`prefer`](crate::matching::prefer) order. Warps are grouped
-//! into fixed-size super-chunks per parallel task so host scheduling cost
-//! is amortized over thousands of vertices; the per-warp statistics are
-//! accumulated warp by warp either way, so every [`KernelStats`] field is
-//! identical to a warp-per-task launch.
+//! canonical [`prefer`](crate::matching::prefer) order.
+//!
+//! Execution and billing are split. A launch over a device's vertices
+//! (or its frontier) sets pointers and logs the edge slots each vertex's
+//! scan read; the billing pass then forms warps from the log for any
+//! batch plan and warp width, and bills each scanned vertex its logged
+//! slots or, for the paper's full scan, its whole list. The pointers a
+//! launch sets depend on neither, so one execution bills every batch
+//! plan and both scans. Billing groups warps into fixed-size
+//! super-chunks per task, as a tallying launch would group its parallel
+//! tasks, so every [`KernelStats`] field, the f64 `warp_edges_sumsq`
+//! fold included, is identical to a launch that tallied as it scanned.
 //!
 //! All *billed* memory traffic still follows the simulated device model —
 //! the real GPU kernel gathers 8-byte mate words and streams full 32-wide
@@ -252,7 +259,7 @@ fn point_warps<W: ExactSizeIterator<Item = VertexId>>(
 /// Optimized SETPOINTERS: [`set_pointers_batch`] with an optional
 /// preference-sorted index (early-exit scans) and an optional frontier
 /// worklist (compacted launch over re-pointing vertices only): the
-/// logged launch [`set_pointers_logged`], billed by [`bill_launch`].
+/// logged launch the driver runs, billed from its slot log.
 ///
 /// Selection is bit-identical to the default kernel: the sorted order
 /// mirrors [`prefer`](crate::matching::prefer), and a worklist launch

@@ -16,6 +16,7 @@
 mod config;
 mod driver;
 mod kernels;
+mod plan;
 mod scratch;
 pub mod tune;
 

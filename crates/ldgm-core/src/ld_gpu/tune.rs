@@ -19,25 +19,27 @@
 //! stays bit-identical across the whole grid, so tuning never changes
 //! the answer, only its cost.
 //!
-//! **One execution per class.** Sparse collectives and overlap change
-//! only how the driver reduces and bills, and the scan (sorted early
-//! exit or full list) only how many slots each warp bills, never a
-//! pointer, so candidates that differ only in those three knobs share an
-//! execution class (`LdGpuConfig::execution_class`). The search runs the
-//! host kernels once per class, scanning through the sorted index, and
-//! bills every candidate of the class as a lane of that one execution
-//! (the driver's `run_lanes`), which reports for each lane exactly what a
-//! run of its config alone reports. The default grid's 64 probes take 8
-//! executions, and the full runs (base plus shortlist) are grouped the
-//! same way.
-//! [`TuneReport::executions`] counts them.
+//! **One execution per class.** The scan (sorted early exit or full
+//! list) and the batch count change only what each warp and launch
+//! bills, and sparse collectives and overlap only how the driver reduces
+//! and bills, never a pointer, so candidates that differ only in those
+//! four knobs share an execution class (`LdGpuConfig::execution_class`):
+//! in the batch grid, one class per frontier setting. The search runs
+//! the host kernels once per class, scanning through the sorted index,
+//! and bills every candidate of the class as a lane of that one
+//! execution (the driver's `run_lanes`), which reports for each lane
+//! exactly what a run of its config alone reports. The default grid's
+//! 64 probes take 2 executions, and the full runs (base plus shortlist)
+//! are grouped the same way, so a search runs 3 or 4.
+//! [`TuneReport::executions`] counts them. A streaming base keeps one
+//! class per (frontier, window).
 //!
 //! The search is fully deterministic: a fixed candidate order, exact
 //! simulated times, and first-wins tie-breaking mean re-tuning the same
 //! graph on the same platform always locks the same config. Grouping
-//! changes none of it: times are ranked by candidate index, and an
-//! infeasible class skips exactly the candidates whose own runs would
-//! have failed, since feasibility depends only on the class.
+//! changes none of it: times are ranked by candidate index, and each
+//! lane fails exactly when its own run would (a fixed batch plan that
+//! overflows device memory, or a class that cannot run at all).
 //!
 //! Every candidate runs on the same graph, so the preference-sorted
 //! index the sorted-scan and streaming candidates read is built once per
@@ -108,8 +110,9 @@ pub struct TuneReport {
     pub candidates: usize,
     /// Kernel executions the search ran: one per execution class of the
     /// probed candidates plus one per class of the full runs. Candidates
-    /// that differ only in sparse collectives and overlap share a class;
-    /// infeasible classes run nothing and are not counted.
+    /// that differ only in the scan, batches, sparse collectives and
+    /// overlap share a class; a class none of whose candidates fits runs
+    /// nothing and is not counted.
     pub executions: usize,
     /// The probe shortlist that went to full runs, best first.
     pub shortlist: Vec<ProbeRecord>,
@@ -221,7 +224,7 @@ pub fn auto_tune_and_run(
 
 /// Run every config of `cfgs` on `g`, one execution per execution class
 /// ([`LdGpuConfig::execution_class`]) with the class's configs as its
-/// lanes. Returns what `take` keeps of each config's output (or the
+/// lanes; a lane whose fixed batch plan does not fit fails alone. Returns what `take` keeps of each config's output (or the
 /// config's error) in input order, and how many executions ran.
 fn run_by_class<T>(
     g: &CsrGraph,
