@@ -287,17 +287,20 @@ fn parse_platform(name: &str) -> Result<Platform, ArgError> {
     })
 }
 
+/// A matcher locked by `--auto-tune`, the verdict, and the search's own
+/// full run of the locked config: the result the matcher would return.
+struct Tuned {
+    matcher: Box<dyn Matcher>,
+    report: TuneReport,
+    run: Option<MatchResult>,
+}
+
 /// Resolve `--auto-tune` for one of the LD-GPU matchers: search the
 /// (batches × toggles × overlap) config grid on `g` with short probe
 /// runs and return a matcher locked to the full-run winner, which is
-/// never slower (simulated) than the defaults, with the search's own
-/// full run of it: the result the matcher would return on `g`. Other
-/// algorithms have no tunable driver config and reject the flag.
-fn tuned_matcher(
-    algorithm: &str,
-    setup: &MatcherSetup,
-    g: &CsrGraph,
-) -> Result<(Box<dyn Matcher>, TuneReport, Option<MatchResult>), ArgError> {
+/// never slower (simulated) than the defaults. Other algorithms have no
+/// tunable driver config and reject the flag.
+fn tuned_matcher(algorithm: &str, setup: &MatcherSetup, g: &CsrGraph) -> Result<Tuned, ArgError> {
     let base = match algorithm {
         "ld-gpu" => LdGpuMatcher::config_from_setup(setup),
         "ld-gpu-opt" => LdGpuMatcher::config_from_setup(setup).optimized(),
@@ -307,13 +310,13 @@ fn tuned_matcher(
             )))
         }
     };
-    let (report, locked) = auto_tune_and_run(g, &base)
-        .map_err(|e| ArgError(format!("auto-tune failed: {e}")))?;
+    let (report, locked) =
+        auto_tune_and_run(g, &base).map_err(|e| ArgError(format!("auto-tune failed: {e}")))?;
     let matcher: Box<dyn Matcher> = match algorithm {
         "ld-gpu" => Box::new(LdGpuMatcher { cfg: report.config.clone() }),
         _ => Box::new(LdGpuOptMatcher { cfg: report.config.clone() }),
     };
-    Ok((matcher, report, locked.map(ld_gpu_result)))
+    Ok(Tuned { matcher, report, run: locked.map(ld_gpu_result) })
 }
 
 /// Run `matcher` on `g`; returns the result and the host milliseconds the
@@ -482,11 +485,11 @@ fn cmd_match(args: &Args) -> Result<String, ArgError> {
     // With --auto-tune the tuner's full run of the locked config is the
     // result, and the wall time is the search's, which includes it.
     let (result, wall_time_ms) = if args.has_flag("auto-tune") {
-        let (m, report, locked) = tuned_matcher(algorithm, &setup, &g)?;
-        out.push_str(&tune_note(&report));
-        match locked {
-            Some(locked) => (locked, report.wall_s * 1e3),
-            None => timed_run(m.as_ref(), &g)?,
+        let tuned = tuned_matcher(algorithm, &setup, &g)?;
+        out.push_str(&tune_note(&tuned.report));
+        match tuned.run {
+            Some(locked) => (locked, tuned.report.wall_s * 1e3),
+            None => timed_run(tuned.matcher.as_ref(), &g)?,
         }
     } else {
         timed_run(matcher, &g)?
@@ -903,10 +906,10 @@ fn cmd_profile(args: &Args) -> Result<String, ArgError> {
         // running it again.
         for alg in ["ld-gpu", "ld-gpu-opt"] {
             if names.iter().any(|n| n == alg) {
-                let (m, report, run) = tuned_matcher(alg, &setup, &g)?;
-                write!(out, "{alg} {}", tune_note(&report)).unwrap();
-                drop(registry.register(m));
-                locked.extend(run.map(|r| (alg, r)));
+                let tuned = tuned_matcher(alg, &setup, &g)?;
+                write!(out, "{alg} {}", tune_note(&tuned.report)).unwrap();
+                drop(registry.register(tuned.matcher));
+                locked.extend(tuned.run.map(|r| (alg, r)));
             }
         }
     }

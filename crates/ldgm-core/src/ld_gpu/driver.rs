@@ -78,11 +78,11 @@ use ldgm_part::placement::CutStats;
 use ldgm_part::{memory, Partition, SubstreamPlan, VertexRange};
 
 use super::config::{LdGpuConfig, LdGpuError};
-use super::plan::{place_on_nodes, plan_bands, plan_walks, Walk};
 use super::kernels::{
     bill_launch, set_mates, set_pointers_band, set_pointers_logged, PointingResult, PointingWork,
     UNSCANNED,
 };
+use super::plan::{place_on_nodes, plan_bands, plan_walks, Walk};
 use super::scratch::{DeviceScratch, Scratch};
 use crate::matching::{Matching, UNMATCHED};
 
@@ -465,8 +465,17 @@ impl Run<'_> {
         let work =
             if frontier_round { PointingWork::Worklist(frontier) } else { PointingWork::Full };
         let (pointers, retired) = (&mut *task.pointers, &mut *task.retired);
-        let decided =
-            set_pointers_logged(self.g, sorted, &part, work, avail, pointers, retired, log, self.retire);
+        let decided = set_pointers_logged(
+            self.g,
+            sorted,
+            &part,
+            work,
+            avail,
+            pointers,
+            retired,
+            log,
+            self.retire,
+        );
         let walks = self.walks.iter().enumerate();
         let walks = walks.map(|(w, walk)| {
             let mut rep = WalkReport::default();
@@ -747,7 +756,10 @@ pub(crate) fn run_lanes(
         "sorted index built from another graph"
     );
     let needs_index = cfgs.iter().any(|c| c.sorted_index || c.streaming);
-    assert!(index.is_some() || !needs_index, "sorted-index and streaming runs need the sorted index");
+    assert!(
+        index.is_some() || !needs_index,
+        "sorted-index and streaming runs need the sorted index"
+    );
     let n = g.num_vertices();
     let ndev = cfg.devices.clamp(1, cfg.platform.max_devices);
     let partition = Partition::edge_balanced(g, ndev);
@@ -937,6 +949,7 @@ mod tests {
     use crate::verify::half_approx_certificate;
     use ldgm_gpusim::Platform;
     use ldgm_graph::gen::{rmat, urand, RmatParams};
+    use ldgm_part::batch;
 
     fn dgx() -> Platform {
         Platform::dgx_a100()
@@ -1134,6 +1147,7 @@ mod indexed_tests {
     use ldgm_gpusim::Platform;
     use ldgm_graph::gen::{rmat, RmatParams};
     use ldgm_graph::GraphBuilder;
+    use ldgm_part::batch;
 
     /// R-MAT structure with only three weight values, so most preference
     /// decisions fall to the id tie-break.
@@ -1607,6 +1621,7 @@ mod streaming_tests {
     use ldgm_gpusim::Platform;
     use ldgm_graph::gen::{rmat, urand, RmatParams};
     use ldgm_graph::BandLayout;
+    use ldgm_part::batch;
 
     fn dgx() -> Platform {
         Platform::dgx_a100()

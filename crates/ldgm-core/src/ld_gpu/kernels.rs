@@ -134,7 +134,17 @@ pub fn set_pointers_batch(
     retire: bool,
 ) -> PointingResult {
     let work = PointingWork::Full;
-    set_pointers_opt(g, None, batch, work, avail, pointers_batch, retired_batch, vertices_per_warp, retire)
+    set_pointers_opt(
+        g,
+        None,
+        batch,
+        work,
+        avail,
+        pointers_batch,
+        retired_batch,
+        vertices_per_warp,
+        retire,
+    )
 }
 
 /// What one vertex's scan decided about its pointer.
@@ -281,10 +291,24 @@ pub fn set_pointers_opt(
     retire: bool,
 ) -> PointingResult {
     let mut log = vec![UNSCANNED; batch.num_vertices()];
-    let decided =
-        set_pointers_logged(g, sorted, batch, work, avail, pointers_batch, retired_batch, &mut log, retire);
-    let billed = bill_launch(g, batch, work, batch.start, &log, vertices_per_warp, sorted.is_none());
-    PointingResult { pointers_set: decided.pointers_set, vertices_retired: decided.vertices_retired, ..billed }
+    let decided = set_pointers_logged(
+        g,
+        sorted,
+        batch,
+        work,
+        avail,
+        pointers_batch,
+        retired_batch,
+        &mut log,
+        retire,
+    );
+    let billed =
+        bill_launch(g, batch, work, batch.start, &log, vertices_per_warp, sorted.is_none());
+    PointingResult {
+        pointers_set: decided.pointers_set,
+        vertices_retired: decided.vertices_retired,
+        ..billed
+    }
 }
 
 /// The host execution of a SETPOINTERS launch over `range` (every vertex,
@@ -313,9 +337,8 @@ pub(crate) fn set_pointers_logged(
         // Pick the scan once per task: per vertex, the branch costs the
         // early-exit sorted scan a measurable share of its time.
         match sorted {
-            Some(idx) => {
-                slices.point(vertices, avail, retire, |u| scan_sorted_slice(idx.neighbors(g, u), avail))
-            }
+            Some(idx) => slices
+                .point(vertices, avail, retire, |u| scan_sorted_slice(idx.neighbors(g, u), avail)),
             None => slices.point(vertices, avail, retire, |u| {
                 full_scan(g.neighbors(u), g.neighbor_weights(u), avail)
             }),
@@ -581,7 +604,12 @@ mod tests {
     /// 32-wide wave that contained it. Without one this is the default
     /// full-scan packed-key argmax.
     #[inline]
-    fn scan_best(g: &CsrGraph, sorted: Option<&SortedAdjacency>, avail: &[u8], u: VertexId) -> Scan {
+    fn scan_best(
+        g: &CsrGraph,
+        sorted: Option<&SortedAdjacency>,
+        avail: &[u8],
+        u: VertexId,
+    ) -> Scan {
         match sorted {
             Some(idx) => scan_sorted_slice(idx.neighbors(g, u), avail),
             None => full_scan(g.neighbors(u), g.neighbor_weights(u), avail),

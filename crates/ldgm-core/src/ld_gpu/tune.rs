@@ -552,11 +552,14 @@ mod tests {
                 kept.metrics.to_json().to_string_compact(),
                 want.metrics.to_json().to_string_compact()
             );
-            let trace = |o: &LdGpuOutput| o.trace.as_ref().map(|t| chrome_trace_json(t).to_string_compact());
+            let trace = |o: &LdGpuOutput| {
+                o.trace.as_ref().map(|t| chrome_trace_json(t).to_string_compact())
+            };
             assert_eq!(trace(&kept), trace(&want));
             assert_eq!((kept.iterations, kept.batches), (want.iterations, want.batches));
         }
-        let probe = LdGpuConfig { probe_iterations: Some(2), ..LdGpuConfig::new(Platform::dgx_a100()) };
+        let probe =
+            LdGpuConfig { probe_iterations: Some(2), ..LdGpuConfig::new(Platform::dgx_a100()) };
         assert!(auto_tune_and_run(&g, &probe).unwrap().1.is_none());
     }
 

@@ -47,9 +47,9 @@ pub fn half_approx_certificate(g: &CsrGraph, m: &Matching) -> bool {
         .map(|c| {
             (c * CHUNK..n.min((c + 1) * CHUNK)).all(|u| {
                 let edges = g.edges_of(u as VertexId);
-                edges.filter(|&(v, _)| u < v as usize).all(|(v, w)| {
-                    matched[u] >= w || matched[v as usize] >= w
-                })
+                edges
+                    .filter(|&(v, _)| u < v as usize)
+                    .all(|(v, w)| matched[u] >= w || matched[v as usize] >= w)
             })
         })
         .reduce(|| true, |a, b| a && b)
@@ -140,7 +140,7 @@ mod tests {
             let mut bad = good.clone();
             for u in 0..g.num_vertices() as VertexId {
                 match bad.mate(u) {
-                    Some(v) if u < v && u as usize % k == 0 => bad.unjoin(u, v),
+                    Some(v) if u < v && (u as usize).is_multiple_of(k) => bad.unjoin(u, v),
                     None if u as usize % k == 1 => {
                         if let Some((v, _)) = g.edges_of(u).find(|&(v, _)| !bad.is_matched(v)) {
                             bad.join(u, v);
