@@ -50,7 +50,8 @@ use ldgm_part::VertexRange;
 const TASK_VERTICES: usize = 4096;
 
 /// Slot-log entry of a vertex a launch did not scan: it was matched or
-/// retired, and its warp lane exited early.
+/// retired, and its warp lane exited early. Logged slot counts stay
+/// below it: a list holds at most `|V| - 1` distinct `u32` neighbor ids.
 pub(crate) const UNSCANNED: u32 = u32::MAX;
 
 /// Result of a SETPOINTERS launch over one batch.
