@@ -464,18 +464,10 @@ impl Run<'_> {
         let part = task.part;
         let work =
             if frontier_round { PointingWork::Worklist(frontier) } else { PointingWork::Full };
+        let (g, retire) = (self.g, self.retire);
         let (pointers, retired) = (&mut *task.pointers, &mut *task.retired);
-        let decided = set_pointers_logged(
-            self.g,
-            sorted,
-            &part,
-            work,
-            avail,
-            pointers,
-            retired,
-            log,
-            self.retire,
-        );
+        let decided =
+            set_pointers_logged(g, sorted, &part, work, avail, pointers, retired, log, retire);
         let walks = self.walks.iter().enumerate();
         let walks = walks.map(|(w, walk)| {
             let mut rep = WalkReport::default();
