@@ -901,9 +901,8 @@ fn cmd_profile(args: &Args) -> Result<String, ArgError> {
     let mut locked: Vec<(&str, MatchResult)> = Vec::new();
     if args.has_flag("auto-tune") {
         // Re-register each requested LD-GPU matcher with its locked
-        // config so the profile rows show the tuned runs.
-        // The tuner's own full run of each locked config stands in for
-        // running it again.
+        // config so the profile rows show the tuned runs; the tuner's own
+        // full run of each locked config stands in for running it again.
         for alg in ["ld-gpu", "ld-gpu-opt"] {
             if names.iter().any(|n| n == alg) {
                 let tuned = tuned_matcher(alg, &setup, &g)?;

@@ -224,8 +224,9 @@ pub fn auto_tune_and_run(
 
 /// Run every config of `cfgs` on `g`, one execution per execution class
 /// ([`LdGpuConfig::execution_class`]) with the class's configs as its
-/// lanes; a lane whose fixed batch plan does not fit fails alone. Returns what `take` keeps of each config's output (or the
-/// config's error) in input order, and how many executions ran.
+/// lanes; a lane whose fixed batch plan does not fit fails alone.
+/// Returns what `take` keeps of each config's output (or the config's
+/// error) in input order, and how many executions ran.
 fn run_by_class<T>(
     g: &CsrGraph,
     index: &SortedAdjacency,
@@ -241,7 +242,7 @@ fn run_by_class<T>(
             None => classes.push((class, vec![i])),
         }
     }
-    let mut times: Vec<Option<Result<T, LdGpuError>>> = cfgs.iter().map(|_| None).collect();
+    let mut kept: Vec<Option<Result<T, LdGpuError>>> = cfgs.iter().map(|_| None).collect();
     let mut executions = 0;
     for (_, members) in classes {
         let lanes: Vec<LdGpuConfig> = members.iter().map(|&i| cfgs[i].clone()).collect();
@@ -251,18 +252,18 @@ fn run_by_class<T>(
                 let mut ran = false;
                 for (&i, out) in members.iter().zip(outs) {
                     ran |= out.is_ok();
-                    times[i] = Some(out.map(&take));
+                    kept[i] = Some(out.map(&take));
                 }
                 executions += ran as usize;
             }
             Err(e) => {
                 for &i in &members {
-                    times[i] = Some(Err(e.clone()));
+                    kept[i] = Some(Err(e.clone()));
                 }
             }
         }
     }
-    (times.into_iter().map(|t| t.expect("every config has a class")).collect(), executions)
+    (kept.into_iter().map(|k| k.expect("every config has a class")).collect(), executions)
 }
 
 /// Search the (batches × toggles × overlap) grid on `g`, probing each
@@ -290,8 +291,8 @@ fn search(
     keep: bool,
 ) -> Result<(TuneReport, Option<LdGpuOutput>), LdGpuError> {
     let start = Instant::now();
-    // The grid always holds sorted-index candidates; one index serves
-    // every run below (runs that do not scan through it ignore it).
+    // Every execution below scans through the one index: sorted-scan
+    // and streaming lanes read it, full-scan lanes bill whole lists.
     let index = SortedAdjacency::build(g);
     let probe_k = opts.probe_iterations.max(1);
     let grid = candidates(base, opts);
