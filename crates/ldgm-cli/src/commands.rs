@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use ldgm_core::augment::augment_short;
 use ldgm_core::ld_gpu::{auto_tune, auto_tune_and_run, TuneReport};
-use ldgm_core::matcher::{ld_gpu_result, LdGpuMatcher, LdGpuOptMatcher};
+use ldgm_core::matcher::{ld_gpu_result, LdGpuMatcher};
 use ldgm_core::verify::half_approx_certificate;
 use ldgm_core::{
     edit_distance, nearest_names, MatchResult, Matcher, MatcherRegistry, MatcherSetup,
@@ -287,19 +287,18 @@ fn parse_platform(name: &str) -> Result<Platform, ArgError> {
     })
 }
 
-/// A matcher locked by `--auto-tune`, the verdict, and the search's own
-/// full run of the locked config: the result the matcher would return.
+/// The verdict of `--auto-tune` and the search's own full run of the
+/// locked config: the result a matcher locked to it would return.
 struct Tuned {
-    matcher: Box<dyn Matcher>,
     report: TuneReport,
-    run: Option<MatchResult>,
+    run: MatchResult,
 }
 
 /// Resolve `--auto-tune` for one of the LD-GPU matchers: search the
 /// (batches × toggles × overlap) config grid on `g` with short probe
-/// runs and return a matcher locked to the full-run winner, which is
-/// never slower (simulated) than the defaults. Other algorithms have no
-/// tunable driver config and reject the flag.
+/// runs and return the full run of the winner, which is never slower
+/// (simulated) than the defaults. Other algorithms have no tunable
+/// driver config and reject the flag.
 fn tuned_matcher(algorithm: &str, setup: &MatcherSetup, g: &CsrGraph) -> Result<Tuned, ArgError> {
     let base = match algorithm {
         "ld-gpu" => LdGpuMatcher::config_from_setup(setup),
@@ -312,11 +311,8 @@ fn tuned_matcher(algorithm: &str, setup: &MatcherSetup, g: &CsrGraph) -> Result<
     };
     let (report, locked) =
         auto_tune_and_run(g, &base).map_err(|e| ArgError(format!("auto-tune failed: {e}")))?;
-    let matcher: Box<dyn Matcher> = match algorithm {
-        "ld-gpu" => Box::new(LdGpuMatcher { cfg: report.config.clone() }),
-        _ => Box::new(LdGpuOptMatcher { cfg: report.config.clone() }),
-    };
-    Ok(Tuned { matcher, report, run: locked.map(ld_gpu_result) })
+    let locked = locked.expect("a setup base is no probe, so the search keeps its full run");
+    Ok(Tuned { report, run: ld_gpu_result(locked) })
 }
 
 /// Run `matcher` on `g`; returns the result and the host milliseconds the
@@ -487,10 +483,7 @@ fn cmd_match(args: &Args) -> Result<String, ArgError> {
     let (result, wall_time_ms) = if args.has_flag("auto-tune") {
         let tuned = tuned_matcher(algorithm, &setup, &g)?;
         out.push_str(&tune_note(&tuned.report));
-        match tuned.run {
-            Some(locked) => (locked, tuned.report.wall_s * 1e3),
-            None => timed_run(tuned.matcher.as_ref(), &g)?,
-        }
+        (tuned.run, tuned.report.wall_s * 1e3)
     } else {
         timed_run(matcher, &g)?
     };
@@ -890,7 +883,7 @@ fn cmd_profile(args: &Args) -> Result<String, ArgError> {
     ])?;
     let g = load_graph(args)?;
     let setup = matcher_setup(args, true)?;
-    let mut registry = MatcherRegistry::with_defaults(&setup);
+    let registry = MatcherRegistry::with_defaults(&setup);
     let names: Vec<String> = match args.get_or("algorithms", PROFILE_DEFAULT_ALGORITHMS) {
         "all" => registry.names().iter().map(|s| s.to_string()).collect(),
         list => list.split(',').map(|s| s.trim().to_string()).collect(),
@@ -900,15 +893,13 @@ fn cmd_profile(args: &Args) -> Result<String, ArgError> {
     let mut out = String::new();
     let mut locked: Vec<(&str, MatchResult)> = Vec::new();
     if args.has_flag("auto-tune") {
-        // Re-register each requested LD-GPU matcher with its locked
-        // config so the profile rows show the tuned runs; the tuner's own
-        // full run of each locked config stands in for running it again.
+        // The profile rows of the requested LD-GPU matchers show the
+        // tuner's own full runs of their locked configs.
         for alg in ["ld-gpu", "ld-gpu-opt"] {
             if names.iter().any(|n| n == alg) {
                 let tuned = tuned_matcher(alg, &setup, &g)?;
                 write!(out, "{alg} {}", tune_note(&tuned.report)).unwrap();
-                drop(registry.register(tuned.matcher));
-                locked.extend(tuned.run.map(|r| (alg, r)));
+                locked.push((alg, tuned.run));
             }
         }
     }
@@ -931,8 +922,8 @@ fn cmd_profile(args: &Args) -> Result<String, ArgError> {
     let mut runs: Vec<(String, MatchResult)> = Vec::new();
     for name in &names {
         let matcher = registry.try_get(name).map_err(|e| ArgError(e.to_string()))?;
-        let run = match locked.iter().position(|(alg, _)| alg == name) {
-            Some(i) => Ok(locked.swap_remove(i).1),
+        let run = match locked.iter().find(|(alg, _)| alg == name) {
+            Some((_, r)) => Ok(r.clone()),
             None => matcher.run(&g),
         };
         match run {

@@ -333,18 +333,33 @@ pub(crate) fn set_pointers_logged(
 ) -> PointingResult {
     let nv = range.num_vertices();
     debug_assert!(pointers.len() == nv && retired.len() == nv && log.len() == nv);
-    let point = |first, vertices, p: &mut [u64], r: &mut [u8], l: &mut [u32]| {
-        let slices = Slices { base: first, pointers: p, retired: r, log: l };
-        // Pick the scan once per task: per vertex, the branch costs the
-        // early-exit sorted scan a measurable share of its time.
-        match sorted {
-            Some(idx) => slices
-                .point(vertices, avail, retire, |u| scan_sorted_slice(idx.neighbors(g, u), avail)),
-            None => slices.point(vertices, avail, retire, |u| {
-                full_scan(g.neighbors(u), g.neighbor_weights(u), avail)
-            }),
+    // Pick the scan once per launch: per vertex, the branch costs the
+    // early-exit sorted scan a measurable share of its time.
+    match sorted {
+        Some(idx) => {
+            let scan = |u| scan_sorted_slice(idx.neighbors(g, u), avail);
+            point_logged(range, work, avail, pointers, retired, log, retire, scan)
         }
-    };
+        None => {
+            let scan = |u| full_scan(g.neighbors(u), g.neighbor_weights(u), avail);
+            point_logged(range, work, avail, pointers, retired, log, retire, scan)
+        }
+    }
+}
+
+/// [`set_pointers_logged`] with its scan chosen: a full launch runs
+/// [`TASK_VERTICES`]-sized tasks in parallel, a worklist launch one task.
+#[allow(clippy::too_many_arguments)]
+fn point_logged(
+    range: &VertexRange,
+    work: PointingWork<'_>,
+    avail: &[u8],
+    pointers: &mut [u64],
+    retired: &mut [u8],
+    log: &mut [u32],
+    retire: bool,
+    scan: impl Fn(VertexId) -> Scan + Sync,
+) -> PointingResult {
     match work {
         PointingWork::Full => pointers
             .par_chunks_mut(TASK_VERTICES)
@@ -353,7 +368,8 @@ pub(crate) fn set_pointers_logged(
             .enumerate()
             .map(|(t, ((p, r), l))| {
                 let first = range.start + (t * TASK_VERTICES) as VertexId;
-                point(first, Vertices::Range(first..first + p.len() as VertexId), p, r, l)
+                let vertices = first..first + p.len() as VertexId;
+                point_each(vertices, first, avail, p, r, l, retire, &scan)
             })
             .reduce(PointingResult::default, |mut a, b| {
                 a.merge(&b);
@@ -364,72 +380,48 @@ pub(crate) fn set_pointers_logged(
                 worklist.iter().all(|&u| range.start <= u && u < range.end),
                 "worklist outside range"
             );
-            point(range.start, Vertices::List(worklist), pointers, retired, log)
+            let vertices = worklist.iter().copied();
+            point_each(vertices, range.start, avail, pointers, retired, log, retire, &scan)
         }
     }
 }
 
-/// The vertices one host task of a logged launch scans.
-enum Vertices<'a> {
-    Range(std::ops::Range<VertexId>),
-    List(&'a [VertexId]),
-}
-
-/// A task's slices of the pointer, retirement and slot-log arrays, which
-/// start at vertex `base`.
-struct Slices<'a> {
+/// One host task of a logged launch: scan each live vertex of `vertices`,
+/// set its pointer or retire it, and log its slots. The `pointers`,
+/// `retired` and `log` slices start at vertex `base`.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn point_each(
+    vertices: impl Iterator<Item = VertexId>,
     base: VertexId,
-    pointers: &'a mut [u64],
-    retired: &'a mut [u8],
-    log: &'a mut [u32],
-}
-
-impl Slices<'_> {
-    /// [`set_pointers_logged`]'s loop over one task's `vertices`.
-    #[inline]
-    fn point(
-        self,
-        vertices: Vertices<'_>,
-        avail: &[u8],
-        retire: bool,
-        scan: impl FnMut(VertexId) -> Scan,
-    ) -> PointingResult {
-        match vertices {
-            Vertices::Range(r) => self.point_each(r, avail, retire, scan),
-            Vertices::List(l) => self.point_each(l.iter().copied(), avail, retire, scan),
+    avail: &[u8],
+    pointers: &mut [u64],
+    retired: &mut [u8],
+    log: &mut [u32],
+    retire: bool,
+    scan: impl Fn(VertexId) -> Scan,
+) -> PointingResult {
+    let mut out = PointingResult::default();
+    for u in vertices {
+        let i = (u - base) as usize;
+        if avail[u as usize] == 0 || retired[i] != 0 {
+            log[i] = UNSCANNED; // matched or retired: early exit
+            continue;
         }
+        let (found, edges, _, _) = scan(u);
+        log[i] = edges as u32;
+        out.decide(found, &mut pointers[i], &mut retired[i], retire);
     }
-
-    #[inline]
-    fn point_each(
-        self,
-        vertices: impl Iterator<Item = VertexId>,
-        avail: &[u8],
-        retire: bool,
-        mut scan: impl FnMut(VertexId) -> Scan,
-    ) -> PointingResult {
-        let mut out = PointingResult::default();
-        for u in vertices {
-            let i = (u - self.base) as usize;
-            if avail[u as usize] == 0 || self.retired[i] != 0 {
-                self.log[i] = UNSCANNED; // matched or retired: early exit
-                continue;
-            }
-            let (found, edges, _, _) = scan(u);
-            self.log[i] = edges as u32;
-            out.decide(found, &mut self.pointers[i], &mut self.retired[i], retire);
-        }
-        out
-    }
+    out
 }
 
 /// Bill one SETPOINTERS launch from a slot log ([`set_pointers_logged`]):
 /// the launch covers `batch` (every vertex, or a worklist slice inside
 /// it), whose log entries sit at `u - base`. Warps take `vertices_per_warp`
 /// entries each; a full launch groups them into [`TASK_VERTICES`]-sized
-/// tasks from the batch start and folds tasks in order, exactly as the
-/// parallel launch does, so every stat, `warp_edges_sumsq` bits
-/// included, equals a launch that tallied as it scanned. A scanned
+/// tasks from the batch start, bills the tasks in parallel and folds
+/// them in order, so every stat, `warp_edges_sumsq` bits included,
+/// equals a launch that tallied as it scanned. A scanned
 /// vertex bills its logged slots, or its whole list when `full_scan`
 /// (the paper's CSR scan, which skips nothing). Counts of pointers set
 /// and retirements are the execution's and stay 0 here.
@@ -446,13 +438,19 @@ pub(crate) fn bill_launch(
     match work {
         PointingWork::Full => {
             let span = TASK_VERTICES.div_ceil(vpw).max(1) * vpw;
-            let mut out = PointingResult::default();
-            for first in (batch.start..batch.end).step_by(span) {
-                let end = batch.end.min(first + span as VertexId);
-                let warps = (first..end).step_by(vpw).map(|w| w..end.min(w + vpw as VertexId));
-                out.merge(&bill_warps(g, warps, base, log, full_scan));
-            }
-            out
+            let tasks = batch.num_vertices().div_ceil(span);
+            (0..tasks)
+                .into_par_iter()
+                .map(|t| {
+                    let first = batch.start + (t * span) as VertexId;
+                    let end = batch.end.min(first + span as VertexId);
+                    let warps = (first..end).step_by(vpw).map(|w| w..end.min(w + vpw as VertexId));
+                    bill_warps(g, warps, base, log, full_scan)
+                })
+                .reduce(PointingResult::default, |mut a, b| {
+                    a.merge(&b);
+                    a
+                })
         }
         PointingWork::Worklist(slice) => {
             bill_warps(g, slice.chunks(vpw).map(|w| w.iter().copied()), base, log, full_scan)
