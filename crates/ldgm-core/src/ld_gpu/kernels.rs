@@ -27,6 +27,9 @@
 //! super-chunks per task, as a tallying launch would group its parallel
 //! tasks, so every [`KernelStats`] field, the f64 `warp_edges_sumsq`
 //! fold included, is identical to a launch that tallied as it scanned.
+//! The standalone kernels ([`set_pointers_batch`], [`set_pointers_opt`])
+//! and the streaming engine's band launches are such tallying launches:
+//! they bill one plan and need no log.
 //!
 //! All *billed* memory traffic still follows the simulated device model —
 //! the real GPU kernel gathers 8-byte mate words and streams full 32-wide
@@ -237,8 +240,9 @@ fn scan_sorted_slice(nbrs: &[VertexId], avail: &[u8]) -> Scan {
     }
 }
 
-/// Launch one warp per item of `warps`, processed sequentially (the band
-/// kernel's worklist launches parallelize over devices). Matched and
+/// Launch one warp per item of `warps`, processed sequentially (a
+/// standalone full launch parallelizes over tasks of warps, band
+/// launches over devices), tallying each warp's stats as it scans. Matched and
 /// retired vertices exit early; `scan` decides every other vertex. The
 /// `pointers`/`retired` slices start at vertex `base`.
 fn point_warps<W: ExactSizeIterator<Item = VertexId>>(
@@ -269,8 +273,10 @@ fn point_warps<W: ExactSizeIterator<Item = VertexId>>(
 
 /// Optimized SETPOINTERS: [`set_pointers_batch`] with an optional
 /// preference-sorted index (early-exit scans) and an optional frontier
-/// worklist (compacted launch over re-pointing vertices only): the
-/// logged launch the driver runs, billed from its slot log.
+/// worklist (compacted launch over re-pointing vertices only). This
+/// standalone launch tallies its stats as it scans; the driver runs the
+/// logged launch ([`set_pointers_logged`]) and bills it from its slot
+/// log ([`bill_launch`]), which yields the same [`PointingResult`].
 ///
 /// Selection is bit-identical to the default kernel: the sorted order
 /// mirrors [`prefer`](crate::matching::prefer), and a worklist launch
@@ -291,24 +297,64 @@ pub fn set_pointers_opt(
     vertices_per_warp: usize,
     retire: bool,
 ) -> PointingResult {
-    let mut log = vec![UNSCANNED; batch.num_vertices()];
-    let decided = set_pointers_logged(
-        g,
-        sorted,
-        batch,
-        work,
-        avail,
-        pointers_batch,
-        retired_batch,
-        &mut log,
-        retire,
-    );
-    let billed =
-        bill_launch(g, batch, work, batch.start, &log, vertices_per_warp, sorted.is_none());
-    PointingResult {
-        pointers_set: decided.pointers_set,
-        vertices_retired: decided.vertices_retired,
-        ..billed
+    let nv = batch.num_vertices();
+    debug_assert!(pointers_batch.len() == nv && retired_batch.len() == nv);
+    let (p, r) = (pointers_batch, retired_batch);
+    let vpw = vertices_per_warp.max(1);
+    // Pick the scan once per launch, as the logged launch does.
+    match sorted {
+        Some(idx) => {
+            let scan = |u| scan_sorted_slice(idx.neighbors(g, u), avail);
+            point_tallied(batch, work, avail, p, r, vpw, retire, scan)
+        }
+        None => {
+            let scan = |u| full_scan(g.neighbors(u), g.neighbor_weights(u), avail);
+            point_tallied(batch, work, avail, p, r, vpw, retire, scan)
+        }
+    }
+}
+
+/// [`set_pointers_opt`] with its scan chosen: a full launch runs its
+/// warps in [`TASK_VERTICES`]-sized parallel tasks and folds them in
+/// order, the grouping [`bill_launch`] bills.
+#[allow(clippy::too_many_arguments)]
+fn point_tallied(
+    batch: &VertexRange,
+    work: PointingWork<'_>,
+    avail: &[u8],
+    pointers: &mut [u64],
+    retired: &mut [u8],
+    vpw: usize,
+    retire: bool,
+    scan: impl Fn(VertexId) -> Scan + Sync,
+) -> PointingResult {
+    match work {
+        PointingWork::Full => {
+            let span = TASK_VERTICES.div_ceil(vpw).max(1) * vpw;
+            pointers
+                .par_chunks_mut(span)
+                .zip(retired.par_chunks_mut(span))
+                .enumerate()
+                .map(|(t, (p, r))| {
+                    let first = batch.start + (t * span) as VertexId;
+                    let end = first + p.len() as VertexId;
+                    let warps = (first..end).step_by(vpw).map(|w| w..end.min(w + vpw as VertexId));
+                    point_warps(warps, first, avail, p, r, retire, &scan)
+                })
+                .reduce(PointingResult::default, |mut a, b| {
+                    a.merge(&b);
+                    a
+                })
+        }
+        PointingWork::Worklist(worklist) => {
+            debug_assert!(
+                worklist.iter().all(|&u| batch.start <= u && u < batch.end),
+                "worklist outside batch"
+            );
+            let warps = worklist.chunks(vpw).map(|w| w.iter().copied());
+            point_warps(warps, batch.start, avail, pointers, retired, retire, &scan)
+                .with_worklist_reads()
+        }
     }
 }
 
@@ -842,6 +888,52 @@ mod tests {
         let (best_default, _, _, _) = scan_best(&g, None, &avail, 0);
         assert_eq!(best, Found::Target(3), "equal weights tie-break to the lower id");
         assert_eq!(best, best_default);
+    }
+
+    #[test]
+    fn tallied_launch_equals_the_logged_launch_billed() {
+        // The standalone kernels tally as they scan; the driver logs and
+        // bills. Both must agree on every stat (the f64 sum of squares by
+        // bits) and every pointer, for both scans, full and worklist
+        // launches over more than one task, and warp widths that do and
+        // do not divide TASK_VERTICES.
+        let g = ldgm_graph::gen::urand(3 * TASK_VERTICES, 12 * TASK_VERTICES, 5);
+        let idx = SortedAdjacency::build(&g);
+        let n = g.num_vertices();
+        let batch = whole(&g);
+        let avail: Vec<u8> = (0..n).map(|v| (v % 5 != 0) as u8).collect();
+        let retired0: Vec<u8> = (0..n).map(|v| (v % 11 == 3) as u8).collect();
+        let worklist: Vec<VertexId> = (0..n as VertexId).filter(|v| v % 3 != 1).collect();
+        for sorted in [None, Some(&idx)] {
+            for work in [PointingWork::Full, PointingWork::Worklist(&worklist)] {
+                for vpw in [1, 7, 32] {
+                    let (mut p1, mut r1) = (vec![NONE_SENTINEL; n], retired0.clone());
+                    let tallied = set_pointers_opt(
+                        &g, sorted, &batch, work, &avail, &mut p1, &mut r1, vpw, true,
+                    );
+                    let (mut p2, mut r2) = (vec![NONE_SENTINEL; n], retired0.clone());
+                    let mut log = vec![UNSCANNED; n];
+                    let decided = set_pointers_logged(
+                        &g, sorted, &batch, work, &avail, &mut p2, &mut r2, &mut log, true,
+                    );
+                    let billed = bill_launch(&g, &batch, work, 0, &log, vpw, sorted.is_none());
+                    let logged = PointingResult {
+                        pointers_set: decided.pointers_set,
+                        vertices_retired: decided.vertices_retired,
+                        ..billed
+                    };
+                    let case = format!("sorted={} vpw={vpw} {work:?}", sorted.is_some());
+                    assert_eq!(format!("{tallied:?}"), format!("{logged:?}"), "{case}");
+                    assert_eq!(
+                        tallied.stats.warp_edges_sumsq.to_bits(),
+                        logged.stats.warp_edges_sumsq.to_bits(),
+                        "{case}"
+                    );
+                    assert!(p1 == p2 && r1 == r2, "{case}");
+                    assert!(tallied.pointers_set > 0 && tallied.stats.edges_scanned > 0, "{case}");
+                }
+            }
+        }
     }
 
     #[test]
