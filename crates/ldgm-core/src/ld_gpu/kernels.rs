@@ -894,10 +894,11 @@ mod tests {
     fn tallied_launch_equals_the_logged_launch_billed() {
         // The standalone kernels tally as they scan; the driver logs and
         // bills. Both must agree on every stat (the f64 sum of squares by
-        // bits) and every pointer, for both scans, full and worklist
-        // launches over more than one task, and warp widths that do and
-        // do not divide TASK_VERTICES.
-        let g = ldgm_graph::gen::urand(3 * TASK_VERTICES, 12 * TASK_VERTICES, 5);
+        // bits) and every pointer, for both scans (lists long enough for
+        // the early exit to skip slots), full and worklist launches over
+        // more than one task, and warp widths that do and do not divide
+        // TASK_VERTICES.
+        let g = ldgm_graph::gen::urand(2 * TASK_VERTICES + 5, 48 * TASK_VERTICES, 5);
         let idx = SortedAdjacency::build(&g);
         let n = g.num_vertices();
         let batch = whole(&g);
@@ -931,6 +932,7 @@ mod tests {
                     );
                     assert!(p1 == p2 && r1 == r2, "{case}");
                     assert!(tallied.pointers_set > 0 && tallied.stats.edges_scanned > 0, "{case}");
+                    assert_eq!(tallied.edges_skipped > 0, sorted.is_some(), "{case}");
                 }
             }
         }
